@@ -54,6 +54,10 @@ class CdwSet:
         i = bisect_left(self._firsts, n)
         return self.staircase[i][1] if i < len(self.staircase) else -1
 
+    def max_n_for(self, m: int) -> int:
+        """Largest n with (n, m) in the set, or -1 if no such n."""
+        return max((n for n, top in self.staircase if top >= m), default=-1)
+
     def max_n(self) -> int:
         return self.staircase[-1][0] if self.staircase else -1
 
@@ -175,12 +179,29 @@ class HFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "HFamily":
+        if not isinstance(data, dict):
+            raise ValidationError("an hset must be a JSON object")
+        indices = data.get("indices")
+        if not isinstance(indices, list) or not all(
+            type(v) is int or isinstance(v, str) for v in indices
+        ):
+            raise ValidationError("an hset needs an 'indices' list of ints and ordinal literals")
         indices = tuple(index_from_json(v) for v in data["indices"])
         kind = data.get("kind", "explicit")
         if kind == "sum_threshold" and "family" in data:
             return cls(indices, "sum_threshold", family=FuncFamily.from_json(data["family"]))
+        if not isinstance(data.get("entries", []), list):
+            raise ValidationError("hset 'entries' must be a list")
         entries = {}
-        for i, j, staircase in data.get("entries", []):
+        for entry in data.get("entries", []):
+            try:
+                i, j, staircase = entry
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"bad entry {entry!r}: {exc}") from exc
+            if not (type(i) is int and type(j) is int and 0 <= i < j < len(indices)):
+                raise ValidationError(
+                    f"entry ({i!r}, {j!r}) needs positions i < j in range({len(indices)})"
+                )
             try:
                 cdw = CdwSet(tuple((int(n), int(m)) for n, m in staircase))
             except (TypeError, ValueError) as exc:

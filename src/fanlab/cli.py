@@ -120,6 +120,29 @@ def _coerce_indices(values, ordinal: bool) -> list:
     return [Ordinal.from_int(v) if isinstance(v, int) else v for v in values]
 
 
+STALE_DRAW_LIMIT = 1000
+
+
+def _random_points(rng: random.Random, bound, count: int) -> list:
+    """count distinct random ordinals below bound, sorted.
+
+    random_ordinal reaches only finitely many ordinals below a given bound, so
+    the draws stop once STALE_DRAW_LIMIT in a row have brought no new point.
+    """
+    points = set()
+    stale = 0
+    while len(points) < count:
+        before = len(points)
+        points.add(random_ordinal(rng, bound))
+        stale = stale + 1 if len(points) == before else 0
+        if stale >= STALE_DRAW_LIMIT:
+            raise ValidationError(
+                f"asked for {count} random indices below {bound}, but after "
+                f"{len(points)} the next {STALE_DRAW_LIMIT} draws found no new one"
+            )
+    return sorted(points)
+
+
 def _parse_index_spec(spec, bound, seed: int, ordinal: bool = False) -> list:
     """'first:N', 'random:N', or a comma-separated list of index literals."""
     if isinstance(spec, list):
@@ -131,12 +154,7 @@ def _parse_index_spec(spec, bound, seed: int, ordinal: bool = False) -> list:
     if spec.startswith("random:"):
         if bound is None:
             raise ValidationError("'random:N' needs an ordinal bound")
-        rng = random.Random(seed)
-        count = int(spec.split(":", 1)[1])
-        points = set()
-        while len(points) < count:
-            points.add(random_ordinal(rng, bound))
-        return sorted(points)
+        return _random_points(random.Random(seed), bound, int(spec.split(":", 1)[1]))
     return _coerce_indices(
         [parse_index(part) for part in spec.split(",") if part.strip()], ordinal
     )
@@ -253,8 +271,10 @@ def cmd_separate(args, config) -> int:
     start = time.perf_counter()
     if engine == "oracle":
         result = exists_separation_capped(h, A, cap)
+        pair = None if result.separated else solve_separation(h, A, cap).pair
     elif engine == "solver":
         result = solve_separation(h, A, cap)
+        pair = result.pair
     else:
         raise ValidationError(f"unknown engine {engine!r}")
     print(f"separate: {time.perf_counter() - start:.3f}s", file=sys.stderr)
@@ -263,6 +283,7 @@ def cmd_separate(args, config) -> int:
         "cap": cap,
         "A": [index_to_json(a) for a in sorted(A)],
         "witness": None if result.witness is None else _labeling_json(result.witness),
+        "blocking_pair": _pair_json(pair),
     }
     _emit(doc, _setting(args, config, "out"))
     return EXIT_OK if result.separated else EXIT_BLOCKED
@@ -401,11 +422,7 @@ def _parse_schedule(spec: str, bound, seed: int) -> list[list]:
     elif mode == "random":
         if bound is None:
             raise ValidationError("'random' schedules need an ordinal bound")
-        rng = random.Random(seed)
-        points = set()
-        while len(points) < hi:
-            points.add(random_ordinal(rng, bound))
-        pool = sorted(points)
+        pool = _random_points(random.Random(seed), bound, hi)
     else:
         raise ValidationError(f"unknown schedule mode {mode!r}")
     return [pool[:n] for n in range(lo, min(hi, len(pool)) + 1)]

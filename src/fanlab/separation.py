@@ -1,19 +1,31 @@
 """Decide and optimize separations of an index set against a c.d.w. family.
 
-A labeling f separates A when (f(a), f(b)) avoids the family's set for every
-pair a < b in A.  Because every set is closed downward, the feasible
-labelings form an up-set: raising any label preserves separation.  The
-solvers exploit this through per-index lower bounds: once f(a) is fixed,
-the pair (a, b) rules out exactly an initial segment of values for f(b).
+A labeling f separates A when (f(a), f(b)) avoids the family's set S_ab for
+every pair a < b in A.  Because every set is closed downward, the feasible
+labelings form an up-set: raising any label preserves separation.  So a
+labeling with values <= cap exists iff the constant labeling cap works, i.e.
+iff no pair has (cap, cap) in S_ab.  That gives three closed forms, all read
+off one table of the pairs' sets:
+
+* min_cap is the largest, over pairs, of the least c with (c, c) outside
+  S_ab, which is max(min(n, m) + 1) over the staircase points of S_ab.
+* solve_separation is blocked iff some pair has (cap, cap) in S_ab.  Else a
+  prefix of labels extends to a witness iff it does so with every later label
+  at cap, so the lex-least witness is built greedily, left to right: each
+  label is the least one clearing the fixed earlier labels and, against cap,
+  every later index.  That label is never above cap.
+* min_sum_labeling stays a branch-and-bound, but once a prefix is fixed every
+  later label has a floor (the least value clearing the prefix), so the
+  prefix sum plus the later floors bounds every completion from below.
 
 exists_separation_capped is the deliberately naive reference oracle; the
-backtracking solver must agree with it and is the one callers should use.
+closed forms must agree with it, witness for witness.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cdw import HFamily
 from .errors import GuardExceeded
@@ -28,6 +40,8 @@ class SeparationResult:
     status: str  # "separated" | "blocked"
     cap: int
     witness: dict | None = None
+    # blocked results from solve_separation: the first pair with (cap, cap) in its set
+    pair: tuple | None = field(default=None, compare=False)
 
     @property
     def separated(self) -> bool:
@@ -70,47 +84,58 @@ def exists_separation_capped(h: HFamily, A, cap: int, guard: int = ENUM_GUARD) -
     return SeparationResult("blocked", cap)
 
 
-def _pair_bounds(h: HFamily, A):
-    """For each position j, the list of (i, cdw) constraints with i < j."""
-    incoming = [[] for _ in A]
+def _pair_table(h: HFamily, A) -> list:
+    """The non-empty sets S_ab of the pairs of sorted A, as (i, j, cdw) by position.
+
+    Entries come in index order, (i, j) lexicographically.
+    """
+    table = []
     for i in range(len(A)):
         for j in range(i + 1, len(A)):
             cdw = h.get(A[i], A[j])
             if not cdw.is_empty:
-                incoming[j].append((i, cdw))
-    return incoming
+                table.append((i, j, cdw))
+    return table
+
+
+def _raise_to_clear(table, values: list) -> list:
+    """Raise each later label just enough to clear its pairs with earlier ones.
+
+    Every entry (h, i) precedes every entry (i, j) in the table, so values[i]
+    is final by the time its own pairs push values[j] up.
+    """
+    for i, j, cdw in table:
+        values[j] = max(values[j], cdw.max_m_for(values[i]) + 1)
+    return values
 
 
 def solve_separation(h: HFamily, A, cap: int) -> SeparationResult:
-    """Backtracking solver; same status as the oracle, least witness."""
+    """Decide separation at the cap in closed form; same status and witness as the oracle.
+
+    Blocked exactly when some pair has (cap, cap) in its set; the first such
+    pair in index order is reported.  Otherwise the lex-least witness is built
+    left to right: each label is the least value clearing the fixed earlier
+    labels and, with every later label at cap, the later pairs.
+    """
     A = sorted(A)
-    incoming = _pair_bounds(h, A)
+    if cap < 0 and A:
+        return SeparationResult("blocked", cap)
+    table = _pair_table(h, A)
+    for i, j, cdw in table:
+        if (cap, cap) in cdw:
+            return SeparationResult("blocked", cap, pair=(A[i], A[j]))
     values = [0] * len(A)
-
-    def extend(j: int) -> bool:
-        if j == len(A):
-            return True
-        lb = 0
-        for i, cdw in incoming[j]:
-            lb = max(lb, cdw.max_m_for(values[i]) + 1)
-        for v in range(lb, cap + 1):
-            values[j] = v
-            if extend(j + 1):
-                return True
-        return False
-
-    if extend(0):
-        return SeparationResult("separated", cap, dict(zip(A, values)))
-    return SeparationResult("blocked", cap)
+    for i, _, cdw in table:
+        values[i] = max(values[i], cdw.max_n_for(cap) + 1)
+    return SeparationResult("separated", cap, dict(zip(A, _raise_to_clear(table, values))))
 
 
 def min_cap(h: HFamily, A) -> int:
     """Least cap at which A is separable; finite sets always separate."""
-    cap = 0
-    while True:
-        if solve_separation(h, A, cap).separated:
-            return cap
-        cap += 1
+    return max(
+        (min(n, m) + 1 for _, _, cdw in _pair_table(h, sorted(A)) for n, m in cdw.staircase),
+        default=0,
+    )
 
 
 def min_sum_labeling(h: HFamily, A, exact_limit: int = MIN_SUM_EXACT_LIMIT) -> MinSumResult:
@@ -119,47 +144,44 @@ def min_sum_labeling(h: HFamily, A, exact_limit: int = MIN_SUM_EXACT_LIMIT) -> M
     Beyond the exact limit the greedy labeling is returned, flagged inexact.
     """
     A = sorted(A)
-    incoming = _pair_bounds(h, A)
-
-    def lower_bound(j: int, values) -> int:
-        lb = 0
-        for i, cdw in incoming[j]:
-            lb = max(lb, cdw.max_m_for(values[i]) + 1)
-        return lb
-
-    greedy = []
-    for j in range(len(A)):
-        greedy.append(lower_bound(j, greedy))
+    table = _pair_table(h, A)
+    greedy = _raise_to_clear(table, [0] * len(A))
     if len(A) > exact_limit:
         return MinSumResult(dict(zip(A, greedy)), sum(greedy), False)
 
     # Labels above this never help: the pair is already clear of the set.
     safe_cap = [0] * len(A)
-    for i in range(len(A)):
-        for j in range(i + 1, len(A)):
-            cdw = h.get(A[i], A[j])
-            if not cdw.is_empty:
-                safe_cap[i] = max(safe_cap[i], cdw.max_n() + 1)
-                safe_cap[j] = max(safe_cap[j], cdw.max_m() + 1)
+    outgoing = [[] for _ in A]
+    for i, j, cdw in table:
+        safe_cap[i] = max(safe_cap[i], cdw.max_n() + 1)
+        safe_cap[j] = max(safe_cap[j], cdw.max_m() + 1)
+        outgoing[i].append((j, cdw))
 
     best_values = list(greedy)
     best_total = sum(greedy)
     values = [0] * len(A)
 
-    def search(j: int, partial: int):
+    def search(j: int, partial: int, floors: list):
+        # floors[k] is the least label at k that clears the fixed labels before k
         nonlocal best_total, best_values
         if j == len(A):
             if partial < best_total:
                 best_total, best_values = partial, values[:]
             return
-        lb = lower_bound(j, values)
+        lb = floors[j]
         for v in range(lb, max(lb, safe_cap[j]) + 1):
             if partial + v >= best_total:
                 break
             values[j] = v
-            search(j + 1, partial + v)
+            below = floors[:]
+            for k, cdw in outgoing[j]:
+                below[k] = max(below[k], cdw.max_m_for(v) + 1)
+            # a larger v can lower the floors, so skip this v rather than stop
+            if partial + v + sum(below[j + 1 :]) >= best_total:
+                continue
+            search(j + 1, partial + v, below)
 
-    search(0, 0)
+    search(0, 0, [0] * len(A))
     return MinSumResult(dict(zip(A, best_values)), best_total, True)
 
 
@@ -175,12 +197,16 @@ def adversary_two_sets(h: HFamily, A, B, f: dict):
 def largest_separable_subset(h: HFamily, A, cap: int, guard: int = SUBSET_GUARD) -> tuple:
     """A maximum-cardinality subset of A separable at the cap; exact search.
 
-    Separability only shrinks when indices are added, so a branch whose
-    chosen set already fails can be cut without looking at its extensions.
+    A set is separable at the cap iff none of its pairs has (cap, cap) in its
+    set, so this is a maximum independent set of that conflict graph.  A branch
+    whose chosen set already conflicts is cut without looking at its extensions.
     """
     A = sorted(A)
     if len(A) > guard:
         raise GuardExceeded(f"|A| = {len(A)} exceeds the subset-search guard {guard}")
+    if cap < 0:
+        return ()
+    conflicts = {(i, j) for i, j, cdw in _pair_table(h, A) if (cap, cap) in cdw}
     best: list = []
 
     def search(i: int, chosen: list):
@@ -191,10 +217,9 @@ def largest_separable_subset(h: HFamily, A, cap: int, guard: int = SUBSET_GUARD)
             if len(chosen) > len(best):
                 best = chosen[:]
             return
-        candidate = chosen + [A[i]]
-        if solve_separation(h, candidate, cap).separated:
-            search(i + 1, candidate)
+        if not any((c, i) in conflicts for c in chosen):
+            search(i + 1, chosen + [i])
         search(i + 1, chosen)
 
     search(0, [])
-    return tuple(best)
+    return tuple(A[i] for i in best)

@@ -259,7 +259,7 @@ def check_constant_diagonal(h_max: int = 10, n_max: int = 10) -> CheckReport:
 @_timed
 def check_oracle_equivalence(seed: int, cases: int = 500) -> CheckReport:
     rng = random.Random(seed)
-    report = CheckReport("solver agrees with the brute-force oracle", cases)
+    report = CheckReport("solver and min_cap agree with the brute-force oracle", cases)
     for _ in range(cases):
         h = random_hfamily(rng, rng.randint(2, 5))
         cap = rng.randint(0, 6)
@@ -269,6 +269,12 @@ def check_oracle_equivalence(seed: int, cases: int = 500) -> CheckReport:
             report.failures.append(f"status differs: {h.to_json()}, cap={cap}")
         elif expected.separated and expected.witness != got.witness:
             report.failures.append(f"least witness differs: {h.to_json()}, cap={cap}")
+        elif not got.separated and got.pair != next(
+            (pair for pair in h.pairs() if (cap, cap) in h.get(*pair)), None
+        ):
+            report.failures.append(f"blocking pair {got.pair}: {h.to_json()}, cap={cap}")
+        if (cap >= min_cap(h, h.indices)) != expected.separated:
+            report.failures.append(f"min_cap disagrees at cap={cap}: {h.to_json()}")
     return report
 
 

@@ -90,6 +90,13 @@ class TestCdwSetValidation:
         assert cdw.max_m_for(3) == 0
         assert cdw.max_m_for(5) == -1
 
+    @given(cdw_pairs())
+    def test_max_n_for_is_the_transposed_max_m_for(self, pairs):
+        closed = downward_close(pairs)
+        for m in range(closed.max_m() + 2):
+            expected = max((n for n in range(closed.max_n() + 1) if (n, m) in closed), default=-1)
+            assert closed.max_n_for(m) == expected
+
 
 class TestSumThreshold:
     def test_h_zero_is_origin_only(self):
@@ -151,6 +158,26 @@ class TestHFamily:
             HFamily.from_json(
                 {"indices": [0, 1], "kind": "explicit", "entries": [[0, 1, [[1, 1], [2, 2]]]]}
             )
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1, 2],
+            {"indices": 3},
+            {"indices": [None, 1]},
+            {"entries": []},
+            {"indices": [0, 1], "entries": {"0": 1}},
+            {"indices": [0, 1], "entries": [[0, 1]]},
+            {"indices": [0, 1], "entries": [[0, 5, [[0, 0]]]]},
+            {"indices": [0, 1], "entries": [[1, 0, [[0, 0]]]]},
+            {"indices": [0, 1], "entries": [[-1, 1, [[0, 0]]]]},
+            {"indices": [0, 1], "entries": [["0", 1, [[0, 0]]]]},
+            {"indices": [0, 1], "entries": [[False, True, [[0, 0]]]]},
+        ],
+    )
+    def test_from_json_rejects_malformed_structure(self, data):
+        with pytest.raises(ValidationError):
+            HFamily.from_json(data)
 
 
 class TestExtraction:

@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -74,6 +76,32 @@ class TestEval:
             assert family.value(a, b) == value
 
 
+class TestRandomIndices:
+    def test_unreachable_count_exits_5_promptly(self, tmp_path, capsys):
+        family = tmp_path / "w3.json"
+        code, _ = run(capsys, "gen", "--kind", "walk", "--bound", "w^(3)", "--out", str(family))
+        assert code == 0
+        start = time.perf_counter()
+        code = main(["eval", "--family", str(family), "--indices", "random:40"])
+        assert code == 5
+        assert time.perf_counter() - start < 10
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "asked for 40" in err
+
+    def test_reachable_count_keeps_its_draws(self, capsys, walk_family):
+        from fanlab import parse_ordinal, random_ordinal
+        from fanlab.ordinals import index_to_json
+
+        code, out = run(
+            capsys, "eval", "--family", str(walk_family), "--indices", "random:6", "--seed", "3"
+        )
+        assert code == 0
+        rng, points = random.Random(3), set()
+        while len(points) < 6:
+            points.add(random_ordinal(rng, parse_ordinal("w^(2)")))
+        assert json.loads(out)["indices"] == [index_to_json(p) for p in sorted(points)]
+
+
 class TestHset:
     def test_materializes_staircases(self, hset):
         doc = json.loads(hset.read_text())
@@ -99,6 +127,22 @@ class TestHset:
         assert code == 0
         assert json.loads(out)["entries"] == [[0, 1, [[1, 1]]]]
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"indices": [0, 1], "kind": "explicit", "entries": [[0, 5, [[0, 0]]]]},
+            [1, 2],
+        ],
+    )
+    def test_malformed_structure_exits_5(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        for command, flag in (("hset", "--table"), ("mincap", "--hset")):
+            code = main([command, flag, str(bad)])
+            err = capsys.readouterr().err
+            assert code == 5
+            assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSeparate:
     def test_exit_codes_and_agreement_with_library(self, capsys, hset):
@@ -109,6 +153,23 @@ class TestSeparate:
             expected = solve_separation(h, h.indices, cap)
             assert doc["status"] == expected.status
             assert code == (0 if expected.separated else 10)
+
+    def test_blocking_pair(self, tmp_path, capsys):
+        table = tmp_path / "t.json"
+        table.write_text(
+            json.dumps(
+                {"indices": [0, 1, 2], "kind": "explicit",
+                 "entries": [[0, 2, [[1, 1]]], [1, 2, [[2, 2]]]]}
+            )
+        )
+        for engine in ("solver", "oracle"):
+            docs = []
+            for cap in (1, 2, 3):
+                code, out = run(
+                    capsys, "separate", "--hset", str(table), "--cap", str(cap), "--engine", engine
+                )
+                docs.append((code, json.loads(out)["blocking_pair"]))
+            assert docs == [(10, [0, 2]), (10, [1, 2]), (0, None)]
 
     def test_oracle_engine_agrees(self, capsys, hset):
         _, solver_out = run(capsys, "separate", "--hset", str(hset), "--cap", "2")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,15 +6,18 @@ import pytest
 from fanlab import (
     FuncFamily,
     GuardExceeded,
+    LadderSystem,
     adversary_two_sets,
     check_separation,
     downward_close,
     exists_separation_capped,
     explicit_hfamily,
+    first_limits,
     is_separation,
     largest_separable_subset,
     min_cap,
     min_sum_labeling,
+    parse_ordinal,
     solve_separation,
     sum_threshold_family,
 )
@@ -138,6 +142,73 @@ class TestMinCap:
         h = threshold_family(3, 3)
         result = solve_separation(h, [0, 1, 2], 2)
         assert result.witness == {0: 2, 1: 2, 2: 2}
+
+
+class TestClosedFormEngine:
+    """The closed forms against the brute-force oracle, witness for witness."""
+
+    def test_solver_matches_oracle_at_every_cap(self):
+        rng = random.Random(30)
+        for _ in range(120):
+            h = random_hfamily(rng, rng.randint(1, 6), coord_max=rng.choice([2, 4, 6]))
+            for cap in range(6):
+                expected = exists_separation_capped(h, h.indices, cap)
+                got = solve_separation(h, h.indices, cap)
+                assert got == expected  # status and least witness; pair is not compared
+                if expected.separated:
+                    assert got.pair is None
+                    continue
+                first = next(pair for pair in h.pairs() if (cap, cap) in h.get(*pair))
+                assert got.pair == first
+
+    def test_min_cap_is_the_least_cap_the_oracle_separates(self):
+        rng = random.Random(31)
+        for _ in range(120):
+            h = random_hfamily(rng, rng.randint(1, 6), coord_max=rng.choice([2, 4]))
+            subset = [a for a in h.indices if rng.random() < 0.8]
+            least = next(
+                cap for cap in itertools.count()
+                if exists_separation_capped(h, subset, cap).separated
+            )
+            assert min_cap(h, subset) == least
+
+    def test_min_sum_matches_brute_force_up_to_five_indices(self):
+        rng = random.Random(32)
+        for _ in range(80):
+            h = random_hfamily(rng, rng.randint(1, 5), coord_max=3)
+            # an optimal label never exceeds the largest staircase coordinate plus one
+            top = 1 + max(
+                (max(n, m) for a, b in h.pairs() for n, m in h.get(a, b).staircase), default=0
+            )
+            best = min(
+                sum(values)
+                for values in itertools.product(range(top + 1), repeat=len(h.indices))
+                if is_separation(h, h.indices, dict(zip(h.indices, values)))
+            )
+            result = min_sum_labeling(h, h.indices)
+            assert result.exact and result.total == best
+            assert is_separation(h, h.indices, result.labeling)
+
+    def test_empty_family_over_many_indices(self):
+        h = explicit_hfamily(range(1500), {})
+        result = solve_separation(h, h.indices, 0)
+        assert result.separated and result.witness == dict.fromkeys(range(1500), 0)
+        assert min_cap(h, h.indices) == 0
+
+    def test_min_cap_of_the_walk_family_on_24_limits(self):
+        bound = parse_ordinal("w^(2)")
+        limits = first_limits(bound, 24)
+        h = sum_threshold_family(FuncFamily.walk(LadderSystem.canonical(), bound), limits)
+        cap = min_cap(h, limits)
+        assert is_separation(h, limits, dict.fromkeys(limits, cap))
+        assert cap == 0 or not is_separation(h, limits, dict.fromkeys(limits, cap - 1))
+
+    def test_blocked_result_names_the_pair(self):
+        h = explicit_hfamily([0, 1, 2], {(0, 2): [(1, 1)], (1, 2): [(2, 2)]})
+        result = solve_separation(h, [0, 1, 2], 1)
+        assert not result.separated and result.pair == (0, 2)
+        assert solve_separation(h, [0, 1, 2], 2).pair == (1, 2)
+        assert solve_separation(h, [0, 1, 2], 3).pair is None
 
 
 class TestMinSum:
