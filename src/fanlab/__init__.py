@@ -31,7 +31,6 @@ from .families import (
     close_below,
     disagreement_index,
     empirical_witness,
-    family_value,
     is_closed,
     separation_labeling,
     verify_witness,
@@ -42,13 +41,10 @@ from .ordinals import (
     OMEGA,
     ONE,
     ZERO,
-    Classified,
     LadderSystem,
     Ordinal,
     canonical_ladder,
-    classify,
     first_limits,
-    ladder,
     omega_power,
     parse_ordinal,
     random_limit,

@@ -3,10 +3,14 @@
 A downward-closed set is stored by its staircase: the antichain of maximal
 elements, sorted by first coordinate.  Membership of (n, m) is a binary
 search for the first staircase point with first coordinate >= n followed by
-a dominance test.  Families assign such a set to every increasing index pair,
-either from explicit tables, from an integer-valued function family via the
-sum threshold n + m <= h, or by extraction from neighborhood-intersection
-data of a space.
+a dominance test.
+
+A family assigns such a set to every increasing index pair and has one
+representation, a table of staircases.  Constructors fill the table from
+explicit pair lists, from an integer-valued function family via the sum
+threshold n + m <= h (evaluated once per pair), or by extraction from
+neighborhood-intersection data of a space.  In an hset file the entries are
+the sets; a function family stored next to them records where they came from.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class CdwSet:
         return self.staircase[0][1] if self.staircase else -1
 
     def points(self) -> Iterator[tuple[int, int]]:
-        """All members, column by column."""
+        """All members in lexicographic order: by n, then by m."""
         prev_n = -1
         for n, m in self.staircase:
             for col in range(prev_n + 1, n + 1):
@@ -104,33 +108,26 @@ def sum_threshold(family: FuncFamily, alpha, beta) -> CdwSet:
 
 
 class HFamily:
-    """Assignment of a downward-closed set to every pair a < b of indices."""
+    """Assignment of a downward-closed set S_ab to every pair a < b of indices.
 
-    def __init__(self, indices, kind: str, entries=None, family: FuncFamily | None = None):
+    The sets are held in one table from index pairs to their non-empty sets; a
+    pair missing from the table has the empty set.  family, when set, is the
+    function family the table was evaluated from by the sum threshold: it is
+    provenance that to_json writes back out, never consulted by get.
+    """
+
+    def __init__(self, indices, entries=None, family: FuncFamily | None = None):
         self.indices = tuple(sorted(set(indices)))
-        self.kind = kind
+        self.family = family
         self._pos = {v: i for i, v in enumerate(self.indices)}
-        if kind == "sum_threshold":
-            if family is None:
-                raise ValidationError("sum_threshold families need a function family")
-            self.family = family
-            if family.bound is not None:
-                for v in self.indices:
-                    if not isinstance(v, int) and v >= family.bound:
-                        raise ValidationError(f"index {v} is not below the family bound")
-            self._entries = None
-        elif kind in ("explicit", "from_space"):
-            self.family = family
-            self._entries = {}
-            for (a, b), cdw in (entries or {}).items():
-                if a not in self._pos or b not in self._pos or not a < b:
-                    raise ValidationError(f"bad entry key ({a}, {b})")
-                if not isinstance(cdw, CdwSet):
-                    raise ValidationError("entries must be CdwSet values")
-                if not cdw.is_empty:
-                    self._entries[(a, b)] = cdw
-        else:
-            raise ValidationError(f"unknown family kind {kind!r}")
+        self._entries = {}
+        for (a, b), cdw in (entries or {}).items():
+            if a not in self._pos or b not in self._pos or not a < b:
+                raise ValidationError(f"bad entry key ({a}, {b})")
+            if not isinstance(cdw, CdwSet):
+                raise ValidationError("entries must be CdwSet values")
+            if not cdw.is_empty:
+                self._entries[(a, b)] = cdw
 
     def position(self, value) -> int:
         try:
@@ -141,8 +138,6 @@ class HFamily:
     def get(self, a, b) -> CdwSet:
         if self.position(a) >= self.position(b):
             raise DomainError(f"need a < b, got {a}, {b}")
-        if self._entries is None:
-            return sum_threshold(self.family, a, b)
         return self._entries.get((a, b), EMPTY_CDW)
 
     def pairs(self) -> Iterator[tuple]:
@@ -152,33 +147,33 @@ class HFamily:
 
     def restrict(self, subset) -> "HFamily":
         """The same assignment over a subset of the indices."""
-        subset = tuple(sorted(set(subset)))
+        subset = set(subset)
         for v in subset:
             self.position(v)
-        if self._entries is None:
-            return HFamily(subset, self.kind, family=self.family)
         keep = {k: v for k, v in self._entries.items() if k[0] in subset and k[1] in subset}
-        return HFamily(subset, self.kind, entries=keep, family=self.family)
+        return HFamily(subset, keep, self.family)
 
     def to_json(self) -> dict:
-        entries = []
-        for a, b in self.pairs():
-            cdw = self.get(a, b)
-            if not cdw.is_empty:
-                entries.append(
-                    [self.position(a), self.position(b), [list(p) for p in cdw.staircase]]
-                )
+        """kind is sum_threshold, with the family, exactly when the family is known."""
         data = {
             "indices": [index_to_json(v) for v in self.indices],
-            "kind": self.kind,
-            "entries": entries,
+            "kind": "explicit" if self.family is None else "sum_threshold",
+            "entries": sorted(
+                [self._pos[a], self._pos[b], [list(p) for p in cdw.staircase]]
+                for (a, b), cdw in self._entries.items()
+            ),
         }
-        if self.kind == "sum_threshold" and self.family is not None:
+        if self.family is not None:
             data["family"] = self.family.to_json()
         return data
 
     @classmethod
     def from_json(cls, data: dict) -> "HFamily":
+        """Read an hset file: its entries are the sets, whatever its kind.
+
+        A sum_threshold file that has a family but no entries is evaluated
+        from the family.  "from_space" is read as a synonym of "explicit".
+        """
         if not isinstance(data, dict):
             raise ValidationError("an hset must be a JSON object")
         indices = data.get("indices")
@@ -188,8 +183,14 @@ class HFamily:
             raise ValidationError("an hset needs an 'indices' list of ints and ordinal literals")
         indices = tuple(index_from_json(v) for v in data["indices"])
         kind = data.get("kind", "explicit")
+        if kind not in ("explicit", "from_space", "sum_threshold"):
+            raise ValidationError(f"unknown family kind {kind!r}")
+        family = None
         if kind == "sum_threshold" and "family" in data:
-            return cls(indices, "sum_threshold", family=FuncFamily.from_json(data["family"]))
+            family = FuncFamily.from_json(data["family"])
+            if "entries" not in data:
+                return sum_threshold_family(family, indices)
+            _check_below_bound(family, indices)
         if not isinstance(data.get("entries", []), list):
             raise ValidationError("hset 'entries' must be a list")
         entries = {}
@@ -207,7 +208,7 @@ class HFamily:
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"bad staircase for entry ({i}, {j}): {exc}") from exc
             entries[(indices[i], indices[j])] = cdw
-        return cls(indices, "explicit" if kind == "sum_threshold" else kind, entries=entries)
+        return cls(indices, entries, family)
 
 
 def explicit_hfamily(indices, staircases: dict) -> HFamily:
@@ -216,11 +217,26 @@ def explicit_hfamily(indices, staircases: dict) -> HFamily:
         key: pairs if isinstance(pairs, CdwSet) else downward_close(pairs)
         for key, pairs in staircases.items()
     }
-    return HFamily(indices, "explicit", entries=entries)
+    return HFamily(indices, entries)
+
+
+def _check_below_bound(family: FuncFamily, indices) -> None:
+    if family.bound is not None:
+        for v in indices:
+            if not isinstance(v, int) and v >= family.bound:
+                raise ValidationError(f"index {v} is not below the family bound")
 
 
 def sum_threshold_family(family: FuncFamily, indices) -> HFamily:
-    return HFamily(indices, "sum_threshold", family=family)
+    """The family S_ab = {(n, m) : n + m <= h(a, b)}, evaluated once per pair."""
+    indices = sorted(set(indices))
+    _check_below_bound(family, indices)
+    entries = {
+        (a, b): sum_threshold(family, a, b)
+        for i, a in enumerate(indices)
+        for b in indices[i + 1 :]
+    }
+    return HFamily(indices, entries, family)
 
 
 # -- intersection data and extraction ---------------------------------------
@@ -279,5 +295,5 @@ def extract_from_space(data: SpaceData) -> ExtractionResult:
             if n >= pruning_h[a] and m >= pruning_g[b]:
                 collected.setdefault((a, b), set()).add((n, m))
     entries = {key: downward_close(pairs) for key, pairs in collected.items()}
-    family = HFamily(data.points, "from_space", entries=entries)
+    family = HFamily(data.points, entries)
     return ExtractionResult(family, pruning_h, pruning_g)

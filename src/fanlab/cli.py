@@ -147,14 +147,17 @@ def _parse_index_spec(spec, bound, seed: int, ordinal: bool = False) -> list:
     """'first:N', 'random:N', or a comma-separated list of index literals."""
     if isinstance(spec, list):
         return _coerce_indices([parse_index(str(s)) for s in spec], ordinal)
-    if spec.startswith("first:"):
+    mode, colon, count = spec.partition(":")
+    if colon and mode in ("first", "random"):
         if bound is None:
-            raise ValidationError("'first:N' needs an ordinal bound")
-        return first_limits(bound, int(spec.split(":", 1)[1]))
-    if spec.startswith("random:"):
-        if bound is None:
-            raise ValidationError("'random:N' needs an ordinal bound")
-        return _random_points(random.Random(seed), bound, int(spec.split(":", 1)[1]))
+            raise ValidationError(f"'{mode}:N' needs an ordinal bound")
+        try:
+            n = int(count)
+        except ValueError:
+            raise ValidationError(f"bad index spec {spec!r}: N must be an integer") from None
+        if mode == "first":
+            return first_limits(bound, n)
+        return _random_points(random.Random(seed), bound, n)
     return _coerce_indices(
         [parse_index(part) for part in spec.split(",") if part.strip()], ordinal
     )
@@ -514,10 +517,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add(
         "hset",
-        "materialize or validate a downward-closed family",
-        ("--family", {}),
-        ("--indices", {}),
-        ("--table", {"help": "explicit hset JSON to validate and re-emit"}),
+        "write a downward-closed family as a table of staircases",
+        ("--family", {"help": "family JSON path: S_ab = {n + m <= h(a, b)}, kept as provenance"}),
+        ("--indices", {"help": "first:N | random:N | comma list (with --family)"}),
+        ("--table", {"help": "hset JSON to validate and re-emit; its entries are the sets"}),
     )
     add(
         "separate",

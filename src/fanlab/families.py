@@ -120,10 +120,6 @@ def disagreement_index(ladders: LadderSystem, alpha: Ordinal, beta: Ordinal) -> 
     raise DomainError(f"ladders of {alpha} and {beta} agree beyond the scan limit")
 
 
-def family_value(family: FuncFamily, alpha, beta) -> int:
-    return family.value(alpha, beta)
-
-
 def empirical_witness(family: FuncFamily, alpha, gamma, sample) -> int:
     """Least n >= 1 with h_alpha(xi) < h_gamma(xi) + n for all xi in the sample below alpha."""
     if not alpha < gamma:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, OrdinalParseError, ValidationError
 
@@ -149,20 +148,6 @@ def omega_power(exp: Ordinal, coeff: int = 1) -> Ordinal:
     if exp.is_zero:
         return Ordinal.from_int(coeff)
     return Ordinal(((exp, coeff),))
-
-
-class Classified(NamedTuple):
-    kind: str  # "zero" | "successor" | "limit"
-    predecessor: Ordinal | None
-
-
-def classify(a: Ordinal) -> Classified:
-    """Zero, successor (with predecessor), or limit of cofinality omega."""
-    if a.is_zero:
-        return Classified("zero", None)
-    if a.is_successor:
-        return Classified("successor", a.predecessor())
-    return Classified("limit", None)
 
 
 # -- literal grammar -------------------------------------------------------
@@ -412,11 +397,6 @@ class LadderSystem:
         raise ValidationError(f"unknown ladder kind {kind!r}")
 
 
-def ladder(system: LadderSystem, alpha: Ordinal, n: int) -> Ordinal:
-    """Entry n of the ladder of the limit ordinal alpha."""
-    return system.value(alpha, n)
-
-
 # -- sampling --------------------------------------------------------------
 
 
@@ -479,8 +459,3 @@ def index_to_json(value):
 
 def index_from_json(value):
     return value if isinstance(value, int) else parse_ordinal(value)
-
-
-def sort_key(values: Iterable) -> Iterator:
-    """Indices are either all ints or all ordinals; both sort natively."""
-    return sorted(values)

@@ -43,7 +43,7 @@ def build_space(h: HFamily, A=None) -> CombSpace:
     isolated = []
     for i, a in enumerate(A):
         for b in A[i + 1 :]:
-            for n, m in sorted(h.get(a, b).points()):
+            for n, m in h.get(a, b).points():
                 isolated.append(((a, n), (b, m)))
     return CombSpace(A, tuple(isolated))
 
@@ -94,13 +94,7 @@ class FanClosureResult:
 
 def induced_point_set(h: HFamily, B) -> list:
     """S_B: the fan-square points ((a, n), (b, m)) the family puts over B."""
-    B = sorted(set(B))
-    points = []
-    for i, a in enumerate(B):
-        for b in B[i + 1 :]:
-            for n, m in h.get(a, b).points():
-                points.append(((a, n), (b, m)))
-    return points
+    return list(build_space(h, B).isolated)
 
 
 def product_open_meets(points, g: dict) -> bool:

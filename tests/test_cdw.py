@@ -7,11 +7,13 @@ from fanlab import (
     DomainError,
     FuncFamily,
     HFamily,
+    LadderSystem,
     SpaceData,
     ValidationError,
     downward_close,
     explicit_hfamily,
     extract_from_space,
+    parse_ordinal,
     sum_threshold,
     sum_threshold_family,
 )
@@ -146,12 +148,56 @@ class TestHFamily:
         for a, b in h.pairs():
             assert again.get(a, b) == h.get(a, b)
 
+    def test_from_space_files_load_as_explicit(self):
+        data = {"indices": [0, 1], "kind": "from_space", "entries": [[0, 1, [[0, 0]]]]}
+        assert HFamily.from_json(data).to_json() == {**data, "kind": "explicit"}
+
     def test_sum_threshold_json_round_trip(self):
         family = FuncFamily.explicit({(0, 1): 2, (1, 2): 1})
         h = sum_threshold_family(family, [0, 1, 2])
         again = HFamily.from_json(h.to_json())
         for a, b in h.pairs():
             assert again.get(a, b) == h.get(a, b)
+
+    def test_one_table_for_every_constructor(self):
+        family = FuncFamily.explicit({(0, 1): 2, (1, 2): 1})
+        h = sum_threshold_family(family, [2, 0, 1])
+        table = HFamily([0, 1, 2], {(a, b): h.get(a, b) for a, b in h.pairs()})
+        written = h.to_json()
+        assert written.pop("family") == family.to_json()
+        assert table.to_json() == {**written, "kind": "explicit"}
+        sub = h.restrict([0, 2])
+        assert sub.family is family and sub.get(0, 2) == sum_threshold(family, 0, 2)
+
+    def test_sum_threshold_file_without_entries_is_evaluated(self):
+        family = FuncFamily.explicit({(0, 1): 2, (1, 2): 1})
+        h = HFamily.from_json(
+            {"indices": [0, 1, 2], "kind": "sum_threshold", "family": family.to_json()}
+        )
+        expected = sum_threshold_family(family, [0, 1, 2])
+        assert h.to_json() == expected.to_json()
+
+    def test_sum_threshold_file_entries_are_the_sets(self):
+        family = FuncFamily.explicit({(0, 1): 2})
+        h = HFamily.from_json({"indices": [0, 1], "kind": "sum_threshold",
+                               "family": family.to_json(), "entries": [[0, 1, [[0, 0]]]]})
+        assert h.get(0, 1).staircase == ((0, 0),)
+
+    def test_index_at_bound_rejected_before_any_evaluation(self, monkeypatch):
+        bound = parse_ordinal("w^(2)")
+        family = FuncFamily.walk(LadderSystem.canonical(), bound)
+
+        def evaluated(*args):
+            raise AssertionError("a pair was evaluated")
+
+        monkeypatch.setattr(FuncFamily, "value", evaluated)
+        for indices in ([parse_ordinal("w"), bound], [bound, parse_ordinal("w^(2)+1")]):
+            with pytest.raises(ValidationError):
+                sum_threshold_family(family, indices)
+            data = {"indices": [str(v) for v in indices], "kind": "sum_threshold",
+                    "family": family.to_json()}
+            with pytest.raises(ValidationError):
+                HFamily.from_json(data)
 
     def test_from_json_rejects_corrupt_staircase(self):
         with pytest.raises(ValidationError):
@@ -173,6 +219,9 @@ class TestHFamily:
             {"indices": [0, 1], "entries": [[-1, 1, [[0, 0]]]]},
             {"indices": [0, 1], "entries": [["0", 1, [[0, 0]]]]},
             {"indices": [0, 1], "entries": [[False, True, [[0, 0]]]]},
+            {"indices": [0, 1], "kind": "sum_threshold", "entries": [[0, 5, [[0, 0]]]],
+             "family": FuncFamily.explicit({(0, 1): 1}).to_json()},
+            {"indices": [0, 1], "kind": "from_table", "entries": []},
         ],
     )
     def test_from_json_rejects_malformed_structure(self, data):
@@ -193,6 +242,7 @@ class TestExtraction:
         assert result.family.get(0, 1).staircase == ((0, 0),)
         assert result.pruning_h == {0: 0, 1: 0}
         assert result.pruning_g == {0: 0, 1: 0}
+        assert result.family.to_json()["kind"] == "explicit"
 
     def test_rejects_non_monotone_tables(self):
         data = SpaceData((0, 1), 3, frozenset({(0, 1, 1, 0)}))  # (0,0,1,0) missing

@@ -102,11 +102,33 @@ class TestRandomIndices:
         assert json.loads(out)["indices"] == [index_to_json(p) for p in sorted(points)]
 
 
+class TestIndexSpecs:
+    @pytest.mark.parametrize("spec", ["first:x", "random:x"])
+    @pytest.mark.parametrize("command", ["eval", "hset"])
+    def test_non_integer_count_exits_5(self, capsys, walk_family, command, spec):
+        code = main([command, "--family", str(walk_family), "--indices", spec])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith("error:") and spec in err and "Traceback" not in err
+
+
 class TestHset:
     def test_materializes_staircases(self, hset):
         doc = json.loads(hset.read_text())
         assert doc["kind"] == "sum_threshold"
         assert doc["entries"]
+
+    def test_family_hset_reemitted_byte_identically(self, capsys, hset):
+        code, out = run(capsys, "hset", "--table", str(hset))
+        assert code == 0
+        assert out == hset.read_text()
+        assert "family" in json.loads(out)
+
+    def test_index_at_bound_exits_5(self, capsys, walk_family):
+        code = main(["hset", "--family", str(walk_family), "--indices", "w,w^(2)"])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith("error:") and "not below the family bound" in err
 
     def test_corrupted_staircase_exits_5(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -132,6 +154,12 @@ class TestHset:
         [
             {"indices": [0, 1], "kind": "explicit", "entries": [[0, 5, [[0, 0]]]]},
             [1, 2],
+            {
+                "indices": [0, 1],
+                "kind": "sum_threshold",
+                "family": FuncFamily.explicit({(0, 1): 1}).to_json(),
+                "entries": [[0, 5, [[0, 0]]]],
+            },
         ],
     )
     def test_malformed_structure_exits_5(self, tmp_path, capsys, data):
@@ -193,6 +221,16 @@ class TestMincap:
         code, out = run(capsys, "mincap", "--hset", str(hset))
         assert code == 0
         assert json.loads(out)["min_cap"] == min_cap(h, h.indices)
+
+    def test_queries_read_the_hset_entries(self, capsys, monkeypatch, hset):
+        _, expected = run(capsys, "mincap", "--hset", str(hset))
+
+        def evaluated(*args):
+            raise AssertionError("mincap evaluated the function family")
+
+        monkeypatch.setattr(FuncFamily, "value", evaluated)
+        code, out = run(capsys, "mincap", "--hset", str(hset))
+        assert (code, out) == (0, expected)
 
 
 class TestAdversary:

@@ -13,7 +13,6 @@ from fanlab import (
     Ordinal,
     OrdinalParseError,
     canonical_ladder,
-    classify,
     first_limits,
     omega_power,
     parse_ordinal,
@@ -82,11 +81,12 @@ class TestOrder:
 
 class TestClassify:
     def test_examples(self):
-        assert classify(ZERO).kind == "zero"
-        succ = classify(parse_ordinal("w*2+4"))
-        assert succ.kind == "successor"
-        assert succ.predecessor == parse_ordinal("w*2+3")
-        assert classify(parse_ordinal("w^(2)")).kind == "limit"
+        assert (ZERO.is_zero, ZERO.is_successor, ZERO.is_limit) == (True, False, False)
+        succ = parse_ordinal("w*2+4")
+        assert (succ.is_zero, succ.is_successor, succ.is_limit) == (False, True, False)
+        assert succ.predecessor() == parse_ordinal("w*2+3")
+        limit = parse_ordinal("w^(2)")
+        assert (limit.is_zero, limit.is_successor, limit.is_limit) == (False, False, True)
 
     def test_predecessor_of_limit_fails(self):
         with pytest.raises(DomainError):
