@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -89,11 +90,31 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
+# A --config value must have the type its flag parses to: an int for these
+# keys, a bool for "fast", a string for the rest, and for index specs also a
+# list of index literals.
+_INT_SETTINGS = frozenset({"seed", "cap", "const", "points", "prefix_depth", "probe", "depth_k"})
+_SPEC_SETTINGS = frozenset({"indices", "subset", "first", "second", "avoid", "club"})
+
+
 def _setting(args, config: dict, key: str, default=None):
     value = getattr(args, key, None)
     if value is not None:
         return value
-    return config.get(key, default)
+    if key not in config:
+        return default
+    value = config[key]
+    if key == "fast":
+        expected, ok = "true or false", isinstance(value, bool)
+    elif key in _INT_SETTINGS:
+        expected, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif key in _SPEC_SETTINGS:
+        expected, ok = "a string or a list", isinstance(value, (str, list))
+    else:
+        expected, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise ValidationError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+    return value
 
 
 def _load_family(args, config) -> FuncFamily:
@@ -199,7 +220,7 @@ def cmd_gen(args, config) -> int:
         bound = parse_ordinal(bound_text)
         ladder_kind = _setting(args, config, "ladders", "canonical")
         if ladder_kind == "seeded":
-            ladders = LadderSystem.seeded(int(_setting(args, config, "seed", 0)))
+            ladders = LadderSystem.seeded(_setting(args, config, "seed", 0))
         elif ladder_kind == "canonical":
             ladders = LadderSystem.canonical()
         else:
@@ -229,7 +250,7 @@ def cmd_eval(args, config) -> int:
             "value": family.value(alpha, beta),
         }
     else:
-        seed = int(_setting(args, config, "seed", 0))
+        seed = _setting(args, config, "seed", 0)
         spec = _setting(args, config, "indices")
         if spec is None:
             raise ValidationError("eval needs --alpha/--beta or --indices")
@@ -256,7 +277,7 @@ def cmd_hset(args, config) -> int:
         spec = _setting(args, config, "indices")
         if spec is None:
             raise ValidationError("hset needs --indices with --family")
-        seed = int(_setting(args, config, "seed", 0))
+        seed = _setting(args, config, "seed", 0)
         indices = _parse_index_spec(
             spec, family.bound, seed, ordinal=_family_uses_ordinals(family)
         )
@@ -267,9 +288,9 @@ def cmd_hset(args, config) -> int:
 
 def cmd_separate(args, config) -> int:
     h = _load_hset(args, config)
-    seed = int(_setting(args, config, "seed", 0))
+    seed = _setting(args, config, "seed", 0)
     A = _subset(args, config, h, seed)
-    cap = int(_setting(args, config, "cap", 0))
+    cap = _setting(args, config, "cap", 0)
     engine = _setting(args, config, "engine", "solver")
     start = time.perf_counter()
     if engine == "oracle":
@@ -294,7 +315,7 @@ def cmd_separate(args, config) -> int:
 
 def cmd_mincap(args, config) -> int:
     h = _load_hset(args, config)
-    seed = int(_setting(args, config, "seed", 0))
+    seed = _setting(args, config, "seed", 0)
     A = _subset(args, config, h, seed)
     start = time.perf_counter()
     cap = min_cap(h, A)
@@ -315,10 +336,12 @@ def cmd_mincap(args, config) -> int:
 
 def cmd_adversary(args, config) -> int:
     h = _load_hset(args, config)
-    seed = int(_setting(args, config, "seed", 0))
+    seed = _setting(args, config, "seed", 0)
     ordinal = _wants_ordinals(h.indices)
-    first = _parse_index_spec(_setting(args, config, "first"), None, seed, ordinal=ordinal)
-    second = _parse_index_spec(_setting(args, config, "second"), None, seed, ordinal=ordinal)
+    specs = [_setting(args, config, key) for key in ("first", "second")]
+    if None in specs:
+        raise ValidationError("adversary needs --first and --second")
+    first, second = (_parse_index_spec(spec, None, seed, ordinal=ordinal) for spec in specs)
     if set(first) & set(second):
         raise ValidationError("the two sets must be disjoint")
     labels_path = _setting(args, config, "labels")
@@ -330,7 +353,7 @@ def cmd_adversary(args, config) -> int:
             for key in _coerce_indices([parse_index(str(a))], ordinal)
         }
     else:
-        const = int(_setting(args, config, "const", 0))
+        const = _setting(args, config, "const", 0)
         f = {a: const for a in list(first) + list(second)}
     pair = adversary_two_sets(h, first, second, f)
     doc = {
@@ -345,10 +368,10 @@ def cmd_bound(args, config) -> int:
     family = _load_family(args, config)
     if family.kind == "walk":
         raise ValidationError("bounds are built for ladder or explicit families")
-    seed = int(_setting(args, config, "seed", 0))
+    seed = _setting(args, config, "seed", 0)
     rng = random.Random(seed)
-    count = int(_setting(args, config, "points", 8))
-    depth = int(_setting(args, config, "prefix_depth", 3))
+    count = _setting(args, config, "points", 8)
+    depth = _setting(args, config, "prefix_depth", 3)
     gamma_text = _setting(args, config, "gamma")
     avoid_spec = _setting(args, config, "avoid")
     if (gamma_text is None) == (avoid_spec is None):
@@ -391,7 +414,7 @@ def cmd_bound(args, config) -> int:
         extra = set(bound.certified_on)
         extra.update(
             random_ordinal(rng, parse_ordinal(mode.get("gamma", str(family.bound))))
-            for _ in range(int(probe))
+            for _ in range(probe)
         )
         doc["empirical_violations"] = [
             _pair_json(p) for p in verify_witness(bound, family, extra)
@@ -402,11 +425,11 @@ def cmd_bound(args, config) -> int:
 
 def cmd_space(args, config) -> int:
     h = _load_hset(args, config)
-    seed = int(_setting(args, config, "seed", 0))
+    seed = _setting(args, config, "seed", 0)
     A = _subset(args, config, h, seed)
     space = build_space(h, A)
     fmt = _setting(args, config, "format", "json")
-    depth_k = int(_setting(args, config, "depth_k", 0))
+    depth_k = _setting(args, config, "depth_k", 0)
     _emit_text(export_space(space, fmt, k=depth_k), _setting(args, config, "out"))
     return EXIT_OK
 
@@ -433,7 +456,7 @@ def _parse_schedule(spec: str, bound, seed: int) -> list[list]:
 
 def cmd_growth(args, config) -> int:
     family = _load_family(args, config)
-    seed = int(_setting(args, config, "seed", 0))
+    seed = _setting(args, config, "seed", 0)
     schedule = _setting(args, config, "schedule", "first:2..6")
     chain = _parse_schedule(schedule, family.bound, seed)
     if not chain:
@@ -458,8 +481,8 @@ def cmd_growth(args, config) -> int:
 
 
 def cmd_verify(args, config) -> int:
-    seed = int(_setting(args, config, "seed", 0))
-    fast = bool(_setting(args, config, "fast", False))
+    seed = _setting(args, config, "seed", 0)
+    fast = _setting(args, config, "fast", False)
     reports = verification.run_all(seed, fast=fast)
     for report in reports:
         print(report.line(), file=sys.stderr)
@@ -483,6 +506,7 @@ def cmd_verify(args, config) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanlab",
@@ -594,6 +618,8 @@ def main(argv=None) -> int:
     if args.config:
         try:
             config = _load_json(args.config)
+            if not isinstance(config, dict):
+                raise ValidationError(f"{args.config} must hold a JSON object of settings")
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION

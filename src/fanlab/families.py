@@ -308,18 +308,32 @@ class _BoundEngine:
     def g(self, gamma: Ordinal, x: Ordinal) -> int:
         if not x < gamma:
             raise DomainError(f"{x} is not below {gamma}")
-        key = (gamma, x)
-        cached = self._values.get(key)
-        if cached is not None:
-            return cached
-        if gamma.is_successor:
-            xi = gamma.predecessor()
-            value = 1 if x == xi else max(self.g(xi, x), self.family.value(x, xi))
-        elif x.is_limit:
-            value = self.g(self.club_split(gamma, x)[1], x)
-        else:
-            value = 1
+        # Walk down to a known or base value, then fill in the memo upwards,
+        # so long successor chains need no recursion.
+        chain = []
+        while True:
+            key = (gamma, x)
+            value = self._values.get(key)
+            if value is not None:
+                break
+            if gamma.is_successor:
+                xi = gamma.predecessor()
+                if x == xi:
+                    value = 1
+                    break
+                chain.append((key, xi))
+                gamma = xi
+            elif x.is_limit:
+                chain.append((key, None))
+                gamma = self.club_split(gamma, x)[1]
+            else:
+                value = 1
+                break
         self._values[key] = value
+        for key, xi in reversed(chain):
+            if xi is not None:
+                value = max(value, self.family.value(x, xi))
+            self._values[key] = value
         return value
 
     def witness(self, gamma: Ordinal, beta: Ordinal) -> int:
@@ -332,20 +346,33 @@ class _BoundEngine:
         """
         if not beta < gamma:
             raise DomainError(f"{beta} is not below {gamma}")
-        key = (gamma, beta)
-        cached = self._witnesses.get(key)
-        if cached is not None:
-            return cached
-        if not beta.is_limit:
-            value = 1  # h_beta vanishes off pairs of limits
-        elif gamma.is_successor:
-            xi = gamma.predecessor()
-            value = 1 if xi == beta else self.witness(xi, beta)
-        else:
-            lower, upper = self.club_split(gamma, beta)
-            k = 0 if lower is None else self.ladders.first_index_at_least(beta, lower + 1)
-            value = k + self.witness(upper, beta) + 1
+        # Each stage adds its offset to the witness one stage down; walk down
+        # to a known or base value, then fill in the memo upwards.
+        chain = []
+        while True:
+            key = (gamma, beta)
+            value = self._witnesses.get(key)
+            if value is not None:
+                break
+            if not beta.is_limit:
+                value = 1  # h_beta vanishes off pairs of limits
+                break
+            if gamma.is_successor:
+                xi = gamma.predecessor()
+                if xi == beta:
+                    value = 1
+                    break
+                chain.append((key, 0))
+                gamma = xi
+            else:
+                lower, upper = self.club_split(gamma, beta)
+                k = 0 if lower is None else self.ladders.first_index_at_least(beta, lower + 1)
+                chain.append((key, k + 1))
+                gamma = upper
         self._witnesses[key] = value
+        for key, offset in reversed(chain):
+            value += offset
+            self._witnesses[key] = value
         return value
 
     def empirical_witness_against(self, g, beta, sample) -> int:

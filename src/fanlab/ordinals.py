@@ -12,6 +12,7 @@ seeded variant whose sequences share common prefixes, or an explicit table.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import random
 import re
@@ -269,7 +270,33 @@ def canonical_ladder(alpha: Ordinal, n: int) -> Ordinal:
     return Ordinal(head + ((canonical_ladder(exp, n), 1),))
 
 
+def _canonical_first(alpha: Ordinal, target: Ordinal) -> int:
+    """Least n with canonical_ladder(alpha, n) >= target, for target < alpha.
+
+    With alpha = head + w^e as in canonical_ladder, index 0 already reaches
+    any target <= head.  Otherwise target = head + delta with delta < w^e, and
+    the index is read off delta's leading term w^d * c.  For successor e,
+    head + w^(e-1)*n first reaches delta at n = 1 when d < e-1, else at c, or
+    c+1 when delta has lower terms.  For limit e, head + w^(e[n]) first
+    reaches it at the least n with e[n] >= d, one later when e[n] = d and
+    delta is not w^d itself.
+    """
+    exp, coeff = alpha.terms[-1]
+    head = alpha.terms[:-1] + (((exp, coeff - 1),) if coeff > 1 else ())
+    k = len(head)
+    if target.terms[:k] != head or len(target.terms) == k:
+        return 0
+    d, c = target.terms[k]
+    more = len(target.terms) > k + 1
+    if exp.is_successor:
+        return 1 if d < exp.predecessor() else c + more
+    m = _canonical_first(exp, d)
+    return m + (canonical_ladder(exp, m) == d and (c > 1 or more))
+
+
 _SEED_PREFIX_MAX = 8
+# The seeded prefix memo is cleared when it reaches this many limits.
+_PREFIX_MEMO_LIMIT = 1 << 16
 
 
 def _stable_rng(*parts) -> random.Random:
@@ -302,6 +329,7 @@ class LadderSystem:
             for _ in range(_SEED_PREFIX_MAX - 1):
                 pool.append(pool[-1] + 1 + rng.randrange(4))
             self._pool = tuple(pool)
+            self._prefixes: dict[Ordinal, tuple[int, int]] = {}
         if kind == "explicit":
             if not table:
                 raise ValidationError("explicit ladders need a table")
@@ -331,6 +359,22 @@ class LadderSystem:
             return ("explicit", id(self.table))
         return (self.kind, self.seed)
 
+    def _prefix(self, alpha: Ordinal) -> tuple[int, int]:
+        """(p, shift) of a seeded ladder, memoized per limit.
+
+        Values 0..p-1 are the pool's first p naturals; value n >= p is
+        canonical_ladder(alpha, shift + n - p), shift being the least
+        canonical index whose value clears the prefix.
+        """
+        known = self._prefixes.get(alpha)
+        if known is None:
+            p = _stable_rng(self.seed, "prefix-len", alpha).randint(0, _SEED_PREFIX_MAX)
+            shift = _canonical_first(alpha, Ordinal.from_int(self._pool[p - 1] + 1)) if p else 0
+            if len(self._prefixes) >= _PREFIX_MEMO_LIMIT:
+                self._prefixes.clear()
+            known = self._prefixes[alpha] = (p, shift)
+        return known
+
     def value(self, alpha: Ordinal, n: int) -> Ordinal:
         if not alpha.is_limit:
             raise DomainError(f"{alpha} is not a limit ordinal")
@@ -341,35 +385,45 @@ class LadderSystem:
             if values is None or n >= len(values):
                 raise DomainError(f"explicit ladder of {alpha} has no entry {n}")
             return values[n]
-        p = _stable_rng(self.seed, "prefix-len", alpha).randint(0, _SEED_PREFIX_MAX)
+        p, shift = self._prefix(alpha)
         if n < p:
             return Ordinal.from_int(self._pool[n])
-        shift = 0
-        if p:
-            # Least canonical index whose value clears the prefix.
-            last = Ordinal.from_int(self._pool[p - 1])
-            while canonical_ladder(alpha, shift) <= last:
-                shift += 1
         return canonical_ladder(alpha, shift + (n - p))
 
     def first_index_at_least(self, alpha: Ordinal, target: Ordinal, limit: int = 1 << 16) -> int:
-        """Least n with ladder(alpha, n) >= target; galloping then bisection."""
-        if self.value(alpha, 0) >= target:
-            return 0
-        lo, hi = 0, 1
-        while self.value(alpha, hi) < target:
-            lo, hi = hi, hi * 2
-            if hi > limit:
-                raise DomainError(
-                    f"no ladder entry of {alpha} reaches {target} within {limit} steps"
-                )
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.value(alpha, mid) < target:
-                lo = mid
+        """Least n with ladder(alpha, n) >= target, without searching.
+
+        Canonical ladders invert the Cantor normal form (_canonical_first).  A
+        seeded ladder bisects its prefix of naturals when a natural target
+        lies within it, and otherwise shifts the canonical answer past the
+        prefix.  An explicit table is bisected.  DomainError when target >=
+        alpha, when an explicit table has no such entry, or when n >= 2 and
+        the least power of two >= n exceeds limit.
+        """
+        if not alpha.is_limit:
+            raise DomainError(f"{alpha} is not a limit ordinal")
+        if self.kind == "explicit":
+            values = self.table.get(alpha, ())
+            n = bisect.bisect_left(values, target)
+            if n == len(values):
+                raise DomainError(f"explicit ladder of {alpha} has no entry {n}")
+        elif target >= alpha:
+            n = None
+        elif self.kind == "canonical":
+            n = _canonical_first(alpha, target)
+        else:
+            p, shift = self._prefix(alpha)
+            finite = not target.terms or target.terms[0][0].is_zero
+            t = target.terms[0][1] if target.terms else 0
+            if finite and p and t <= self._pool[p - 1]:
+                n = bisect.bisect_left(self._pool, t, 0, p)
             else:
-                hi = mid
-        return hi
+                n = p + max(0, _canonical_first(alpha, target) - shift)
+        if n is None or (n >= 2 and 1 << (n - 1).bit_length() > limit):
+            raise DomainError(
+                f"no ladder entry of {alpha} reaches {target} within {limit} steps"
+            )
+        return n
 
     def to_json(self) -> dict:
         if self.kind == "explicit":

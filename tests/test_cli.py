@@ -7,6 +7,7 @@ import time
 import pytest
 
 from fanlab import FuncFamily, HFamily, min_cap, solve_separation, sum_threshold_family
+from fanlab import cli
 from fanlab.cli import main
 
 
@@ -250,6 +251,11 @@ class TestAdversary:
         assert code == 0
         assert json.loads(out)["pair"] is None
 
+    @pytest.mark.parametrize("flags", [[], ["--first", "w"], ["--second", "w*2"]])
+    def test_missing_set_exits_5(self, capsys, hset, flags):
+        code, out = run(capsys, "adversary", "--hset", str(hset), *flags)
+        assert code == 5 and out == ""
+
 
 class TestBound:
     @pytest.fixture
@@ -348,6 +354,46 @@ class TestConfigFile:
         config.write_text(json.dumps({"hset": str(hset), "cap": 3}))
         code, _ = run(capsys, "separate", "--config", str(config), "--cap", "0")
         assert code == 10
+
+    @pytest.mark.parametrize(
+        "command, settings, key",
+        [
+            ("eval", {"indices": 5}, "indices"),
+            ("eval", {"indices": "first:3", "seed": "3"}, "seed"),
+            ("eval", {"indices": "first:3", "out": 7}, "out"),
+        ],
+    )
+    def test_mistyped_values_exit_5(self, tmp_path, capsys, walk_family, command, settings, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        code = main([command, "--family", str(walk_family), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        assert f"config key {key!r}" in captured.err
+
+    def test_non_object_config_exits_5(self, tmp_path, capsys, walk_family):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        code, _ = run(capsys, "eval", "--family", str(walk_family), "--config", str(config))
+        assert code == 5
+
+
+class TestParserCache:
+    def test_successive_calls_get_independent_namespaces(self, monkeypatch, tmp_path):
+        seen = []
+        for name in ("verify", "mincap"):
+            monkeypatch.setitem(
+                cli._COMMANDS, name, lambda args, config: seen.append(args) or 0
+            )
+        assert main(["verify", "--fast"]) == 0
+        assert main(["verify"]) == 0
+        assert main(["mincap", "--hset", str(tmp_path / "h.json")]) == 0
+        assert main(["verify", "--seed", "4"]) == 0
+        first, second, third, fourth = seen
+        assert len({id(args) for args in seen}) == 4
+        assert first.fast is True and second.fast is None
+        assert third.hset == str(tmp_path / "h.json") and not hasattr(fourth, "hset")
+        assert (second.seed, fourth.seed, fourth.fast) == (None, 4, None)
 
 
 def test_module_entry_point(tmp_path):

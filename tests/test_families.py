@@ -26,7 +26,7 @@ from fanlab import (
     weak_bound_avoiding,
     weak_bound_below,
 )
-from fanlab.families import SampleClosure
+from fanlab.families import SampleClosure, _BoundEngine
 
 o = Ordinal.from_int
 W2, W3 = parse_ordinal("w^(2)"), parse_ordinal("w^(3)")
@@ -314,6 +314,12 @@ class TestBoundRecursion:
             for _ in range(5):
                 x = random_ordinal(rng, beta)
                 assert g(x) >= family.value(x, beta)
+
+    def test_long_successor_chains_need_no_recursion(self):
+        family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W3)
+        gamma = parse_ordinal("w*2+5000")
+        assert isinstance(bound_function(family, gamma)(parse_ordinal("w+1")), int)
+        assert isinstance(_BoundEngine(family).witness(gamma, OMEGA), int)
 
 
 class TestDisagreement:

@@ -19,6 +19,7 @@ from fanlab import (
     random_limit,
     random_ordinal,
 )
+from fanlab.ordinals import _SEED_PREFIX_MAX, _stable_rng
 from conftest import ordinals
 
 o = Ordinal.from_int
@@ -184,6 +185,149 @@ class TestLadderSystems:
         again = LadderSystem.from_json(system.to_json())
         assert again.kind == system.kind
         assert again.value(OMEGA, 4) == system.value(OMEGA, 4)
+
+
+# -- first_index_at_least against search -------------------------------------
+
+LADDER_BOUNDS = [parse_ordinal(t) for t in ("w^(2)", "w^(3)*2", "w^(w)", "w^(w^(2))")]
+
+
+def gallop(system, alpha, target, limit=1 << 16):
+    """The galloping-then-bisection search that first_index_at_least replaced."""
+    if system.value(alpha, 0) >= target:
+        return 0
+    lo, hi = 0, 1
+    while system.value(alpha, hi) < target:
+        lo, hi = hi, hi * 2
+        if hi > limit:
+            raise DomainError(
+                f"no ladder entry of {alpha} reaches {target} within {limit} steps"
+            )
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if system.value(alpha, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def linear_first(system, alpha, target):
+    """Least n with value(alpha, n) >= target by scanning; None if a table runs out."""
+    for n in range(1 << 12):
+        try:
+            if system.value(alpha, n) >= target:
+                return n
+        except DomainError:
+            return None
+    raise AssertionError("scan limit reached")
+
+
+def outcome(f):
+    try:
+        return f()
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+@st.composite
+def ladder_cases(draw):
+    """(system, alpha, target) with the target below alpha, at or above it, or natural."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    alpha = random_limit(rng, draw(st.sampled_from(LADDER_BOUNDS)))
+    mode = draw(st.sampled_from(["below", "below", "natural", "alpha", "above"]))
+    if mode == "below":
+        target = random_ordinal(rng, alpha) + draw(st.integers(0, 40))
+    elif mode == "natural":
+        target = o(draw(st.integers(0, 40)))
+    elif mode == "alpha":
+        target = alpha
+    else:
+        target = alpha + draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["canonical", "seeded", "explicit"]))
+    if kind == "canonical":
+        system = LadderSystem.canonical()
+    elif kind == "seeded":
+        system = LadderSystem.seeded(draw(st.integers(0, 60)))
+    else:
+        values = sorted({random_ordinal(rng, alpha) for _ in range(draw(st.integers(1, 7)))})
+        system = LadderSystem.explicit({alpha: tuple(values)})
+    return system, alpha, target
+
+
+class TestFirstIndexAtLeast:
+    @settings(max_examples=300, deadline=None)
+    @given(ladder_cases())
+    def test_equals_a_linear_scan(self, case):
+        system, alpha, target = case
+        expected = linear_first(system, alpha, target) if target < alpha else None
+        if expected is None:
+            with pytest.raises(DomainError):
+                system.first_index_at_least(alpha, target)
+        else:
+            assert system.first_index_at_least(alpha, target) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(ladder_cases(), st.one_of(st.integers(0, 70), st.just(1 << 16)))
+    def test_equals_the_galloping_search(self, case, limit):
+        system, alpha, target = case
+        new = outcome(lambda: system.first_index_at_least(alpha, target, limit))
+        old = outcome(lambda: gallop(system, alpha, target, limit))
+        if system.kind != "explicit" or isinstance(old, int):
+            assert new == old
+        else:
+            # The search also failed when its probes overshot a finite table.
+            assert isinstance(new, tuple) or new == linear_first(system, alpha, target)
+
+    @pytest.mark.parametrize("kind", ["canonical", "seeded"])
+    def test_limit_contract(self, kind):
+        system = LadderSystem.canonical() if kind == "canonical" else LadderSystem.seeded(4)
+        alpha = parse_ordinal("w*2")
+        target = parse_ordinal("w+9")
+        n = system.first_index_at_least(alpha, target)
+        assert n >= 2
+        power = 1 << (n - 1).bit_length()
+        assert system.first_index_at_least(alpha, target, power) == n
+        with pytest.raises(DomainError, match="within"):
+            system.first_index_at_least(alpha, target, power - 1)
+        with pytest.raises(DomainError, match="within"):
+            system.first_index_at_least(alpha, alpha, 1 << 16)
+
+    def test_explicit_table_is_bisected_to_its_end(self):
+        table = {OMEGA: (o(1), o(3), o(8), o(9))}
+        system = LadderSystem.explicit(table)
+        assert system.first_index_at_least(OMEGA, o(9)) == 3
+        with pytest.raises(DomainError, match="no entry 4"):
+            system.first_index_at_least(OMEGA, o(10))
+        with pytest.raises(DomainError, match="no entry 0"):
+            system.first_index_at_least(parse_ordinal("w*2"), o(1))
+
+
+def rederived_value(seed, alpha, n):
+    """A seeded ladder value derived from the seed alone, with no memo."""
+    rng = _stable_rng(seed, "ladder-prefix-pool")
+    pool = [rng.randrange(3)]
+    for _ in range(_SEED_PREFIX_MAX - 1):
+        pool.append(pool[-1] + 1 + rng.randrange(4))
+    p = _stable_rng(seed, "prefix-len", alpha).randint(0, _SEED_PREFIX_MAX)
+    if n < p:
+        return o(pool[n])
+    shift = 0
+    if p:
+        while canonical_ladder(alpha, shift) <= o(pool[p - 1]):
+            shift += 1
+    return canonical_ladder(alpha, shift + (n - p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 1000))
+def test_memoized_seeded_value_equals_rederivation(rng_seed, seed):
+    rng = random.Random(rng_seed)
+    system = LadderSystem.seeded(seed)
+    alpha = random_limit(rng, parse_ordinal("w^(w^(2))"))
+    for _ in range(2):  # the first pass fills the memo, the second reads it
+        for n in range(12):
+            assert system.value(alpha, n) == rederived_value(seed, alpha, n)
 
 
 class TestSampling:
