@@ -117,7 +117,10 @@ class HFamily:
     """
 
     def __init__(self, indices, entries=None, family: FuncFamily | None = None):
-        self.indices = tuple(sorted(set(indices)))
+        indices = set(indices)
+        if len({isinstance(v, int) for v in indices}) > 1:
+            raise ValidationError("indices must be all integers or all ordinals, not a mix")
+        self.indices = tuple(sorted(indices))
         self.family = family
         self._pos = {v: i for i, v in enumerate(self.indices)}
         self._entries = {}

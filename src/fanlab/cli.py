@@ -334,6 +334,23 @@ def cmd_mincap(args, config) -> int:
     return EXIT_OK
 
 
+def _load_labels(path: str, ordinal: bool) -> dict:
+    """Read {"labels": [[index, value], ...]}: index an int or literal, value an int."""
+    raw = _load_json(path)
+    if not isinstance(raw, dict) or not isinstance(raw.get("labels"), list):
+        raise ValidationError(f"{path} must hold an object with a 'labels' list")
+    f = {}
+    for entry in raw["labels"]:
+        if not (
+            isinstance(entry, list) and len(entry) == 2
+            and (type(entry[0]) is int or isinstance(entry[0], str)) and type(entry[1]) is int
+        ):
+            raise ValidationError(f"bad label {json.dumps(entry)}: need an [index, int] pair")
+        (key,) = _coerce_indices([parse_index(str(entry[0]))], ordinal)
+        f[key] = entry[1]
+    return f
+
+
 def cmd_adversary(args, config) -> int:
     h = _load_hset(args, config)
     seed = _setting(args, config, "seed", 0)
@@ -346,12 +363,10 @@ def cmd_adversary(args, config) -> int:
         raise ValidationError("the two sets must be disjoint")
     labels_path = _setting(args, config, "labels")
     if labels_path is not None:
-        raw = _load_json(labels_path)
-        f = {
-            key: int(v)
-            for a, v in raw["labels"]
-            for key in _coerce_indices([parse_index(str(a))], ordinal)
-        }
+        f = _load_labels(labels_path, ordinal)
+        for a in list(first) + list(second):
+            if a not in f:
+                raise ValidationError(f"{labels_path} has no label for {a}")
     else:
         const = _setting(args, config, "const", 0)
         f = {a: const for a in list(first) + list(second)}

@@ -96,19 +96,43 @@ class FuncFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "FuncFamily":
+        if not isinstance(data, dict):
+            raise ValidationError("a family must be a JSON object")
         kind = data.get("kind")
+        if not isinstance(data.get("bound"), (str, type(None))):
+            raise ValidationError("family 'bound' must be an ordinal literal or null")
         bound = parse_ordinal(data["bound"]) if data.get("bound") else None
         if kind in ("walk", "ladder"):
+            if not isinstance(data.get("ladders"), dict):
+                raise ValidationError(f"{kind} families need a 'ladders' object")
             ladders = LadderSystem.from_json(data["ladders"])
             return cls(kind, bound, ladders=ladders)
         if kind == "explicit":
-            indices = tuple(index_from_json(v) for v in data.get("indices", []))
-            table = {
-                (indices[i], indices[j]): int(v) for i, j, v in data.get("table", [])
-            }
-            return cls.explicit(
-                table, bound=bound, indices=indices, default=int(data.get("default", 0))
-            )
+            indices = data.get("indices", [])
+            if not isinstance(indices, list) or not all(
+                type(v) is int or isinstance(v, str) for v in indices
+            ):
+                raise ValidationError("family 'indices' must be a list of ints and ordinal literals")
+            indices = tuple(index_from_json(v) for v in indices)
+            rows = data.get("table", [])
+            if not isinstance(rows, list):
+                raise ValidationError("family 'table' must be a list")
+            table = {}
+            for row in rows:
+                if not (
+                    isinstance(row, list) and len(row) == 3 and all(type(x) is int for x in row)
+                    and 0 <= row[0] < len(indices) and 0 <= row[1] < len(indices)
+                ):
+                    raise ValidationError(
+                        f"bad table row {row!r}: need ints [i, j, value], i and j in "
+                        f"range({len(indices)})"
+                    )
+                i, j, v = row
+                table[(indices[i], indices[j])] = v
+            default = data.get("default", 0)
+            if type(default) is not int:
+                raise ValidationError("family 'default' must be an integer")
+            return cls.explicit(table, bound=bound, indices=indices, default=default)
         raise ValidationError(f"unknown family kind {kind!r}")
 
 

@@ -441,11 +441,19 @@ class LadderSystem:
         if kind == "canonical":
             return cls.canonical()
         if kind == "seeded":
-            return cls.seeded(int(data["seed"]))
+            if type(data.get("seed")) is not int:
+                raise ValidationError("seeded ladders need an integer 'seed'")
+            return cls.seeded(data["seed"])
         if kind == "explicit":
+            table = data.get("table")
+            if not isinstance(table, dict) or not all(
+                isinstance(vs, list) and all(isinstance(v, str) for v in vs)
+                for vs in table.values()
+            ):
+                raise ValidationError("explicit ladders need a 'table' of ordinal literal lists")
             table = {
                 parse_ordinal(a): tuple(parse_ordinal(v) for v in vs)
-                for a, vs in data["table"].items()
+                for a, vs in table.items()
             }
             return cls.explicit(table)
         raise ValidationError(f"unknown ladder kind {kind!r}")

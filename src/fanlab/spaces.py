@@ -11,9 +11,11 @@ are pairwise disjoint, which is what ties these spaces to the solvers.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
-from .cdw import HFamily, SpaceData
+from .cdw import HFamily, SpaceData, downward_close
 from .errors import ValidationError
 from .ordinals import index_from_json, index_to_json
 from .separation import solve_separation
@@ -24,17 +26,36 @@ class CombSpace:
     indices: tuple
     isolated: tuple  # of ((a, n), (b, m)) with a < b both in indices
 
+    @cached_property
+    def _incident(self) -> dict:
+        """Per index point g: the coordinates at g of the isolated points naming
+        g, ascending, and those points in the same order.
+
+        Built on first use and not a field, so == and hash ignore it.
+        """
+        incident = {}
+        for p in self.isolated:
+            (a, n), (b, m) = p
+            incident.setdefault(a, []).append((n, p))
+            incident.setdefault(b, []).append((m, p))
+        for pairs in incident.values():
+            pairs.sort(key=lambda e: e[0])
+        return {
+            gamma: (tuple(d for d, _ in pairs), tuple(p for _, p in pairs))
+            for gamma, pairs in incident.items()
+        }
+
     def position(self, value) -> int:
         return self.indices.index(value)
 
+    def incident(self, gamma, k: int | None = None) -> tuple:
+        """The isolated points naming gamma, with coordinate >= k there if k is given."""
+        depths, points = self._incident.get(gamma, ((), ()))
+        return points if k is None else points[bisect_left(depths, k):]
+
     def neighborhood(self, gamma, k: int) -> frozenset:
         """U_k(gamma): the point itself plus incident isolated points of depth >= k."""
-        points = {("idx", gamma)}
-        for p in self.isolated:
-            (a, n), (b, m) = p
-            if (a == gamma and n >= k) or (b == gamma and m >= k):
-                points.add(p)
-        return frozenset(points)
+        return frozenset(self.incident(gamma, k)) | {("idx", gamma)}
 
 
 def build_space(h: HFamily, A=None) -> CombSpace:
@@ -61,26 +82,21 @@ def space_separation_check(space: CombSpace, A, f: dict) -> bool:
 
 
 def clopen_check(space: CombSpace, gamma, k: int) -> bool:
-    """Exhaustively verify that the complement of U_k(gamma) is open.
+    """Verify that the complement of U_k(gamma) is open.
 
     Isolated points are open singletons, so the only question is whether
-    every other index point has a basic neighborhood missing U_k(gamma).
-    Depths beyond one plus the largest coordinate incident to gamma leave
-    only the index point itself, so the search below is complete.
+    every other index point delta has a basic neighborhood missing U_k(gamma).
+    U_j(delta) meets U_k(gamma) only in isolated points on the pair
+    {gamma, delta}, and does so exactly when j is at most delta's coordinate
+    in one of them; the bases decrease, so the least j that misses is one
+    plus the largest such coordinate.  The check passes when that j is within
+    one plus the largest coordinate incident to gamma (at least 1), the depth
+    beyond which only the index point itself is left.
     """
-    target = space.neighborhood(gamma, k)
-    depth_cap = 1
-    for (a, n), (b, m) in space.isolated:
-        if a == gamma or b == gamma:
-            depth_cap = max(depth_cap, n + 1, m + 1)
-    for other in space.indices:
-        if other == gamma:
-            continue
-        if not any(
-            space.neighborhood(other, j).isdisjoint(target) for j in range(depth_cap + 1)
-        ):
-            return False
-    return True
+    cap = 1 + max((max(n, m, 0) for (_, n), (_, m) in space.incident(gamma)), default=0)
+    return all(
+        (m if a == gamma else n) < cap for (a, n), (_, m) in space.incident(gamma, k)
+    )
 
 
 # -- fan view ----------------------------------------------------------------
@@ -168,18 +184,23 @@ def export_space(space: CombSpace, fmt: str = "json", k: int = 0) -> str:
 
 
 def tabulate_intersections(space: CombSpace, depth: int) -> SpaceData:
-    """The true neighborhood-intersection table of a built space."""
-    hoods = {}
-    for i, gamma in enumerate(space.indices):
-        for n in range(depth):
-            hoods[(i, n)] = space.neighborhood(gamma, n)
+    """The true neighborhood-intersection table of a built space, below depth.
+
+    U_n(g_i) meets U_m(g_j) exactly when an isolated point on the pair
+    {g_i, g_j} dominates (n, m), so the cells of a pair are the downward
+    closure of its points clipped to the table.
+    """
+    pos = {v: i for i, v in enumerate(space.indices)}
+    by_pair = {}
+    if depth > 0:
+        for (a, n), (b, m) in space.isolated:
+            if n >= 0 and m >= 0:
+                by_pair.setdefault((pos[a], pos[b]), []).append(
+                    (min(n, depth - 1), min(m, depth - 1))
+                )
     cells = set()
-    for i in range(len(space.indices)):
-        for j in range(len(space.indices)):
-            if i == j:
-                continue
-            for n in range(depth):
-                for m in range(depth):
-                    if not hoods[(i, n)].isdisjoint(hoods[(j, m)]):
-                        cells.add((i, n, j, m))
+    for (i, j), pairs in by_pair.items():
+        for n, m in downward_close(pairs).points():
+            cells.add((i, n, j, m))
+            cells.add((j, m, i, n))
     return SpaceData(space.indices, depth, frozenset(cells))

@@ -228,6 +228,14 @@ class TestHFamily:
         with pytest.raises(ValidationError):
             HFamily.from_json(data)
 
+    def test_mixed_int_and_ordinal_indices_rejected(self):
+        w = parse_ordinal("w")
+        with pytest.raises(ValidationError, match="not a mix"):
+            HFamily([1, w])
+        with pytest.raises(ValidationError, match="not a mix"):
+            HFamily.from_json({"indices": [1, "w"], "kind": "explicit", "entries": []})
+        assert HFamily([w, parse_ordinal("w*2")]).indices == (w, parse_ordinal("w*2"))
+
 
 class TestExtraction:
     def test_all_false_gives_empty_family(self):

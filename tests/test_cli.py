@@ -77,6 +77,19 @@ class TestEval:
             assert family.value(a, b) == value
 
 
+    @pytest.mark.parametrize(
+        "data, problem",
+        [({"kind": "walk", "bound": "w^(2)"}, "'ladders' object"), ([1], "JSON object")],
+    )
+    def test_malformed_family_exits_5(self, tmp_path, capsys, data, problem):
+        bad = tmp_path / "fam.json"
+        bad.write_text(json.dumps(data))
+        code = main(["eval", "--family", str(bad), "--indices", "first:3"])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith("error:") and problem in err and "Traceback" not in err
+
+
 class TestRandomIndices:
     def test_unreachable_count_exits_5_promptly(self, tmp_path, capsys):
         family = tmp_path / "w3.json"
@@ -172,6 +185,15 @@ class TestHset:
             assert code == 5
             assert err.startswith("error:") and "Traceback" not in err
 
+    def test_mixed_int_and_ordinal_indices_exit_5(self, tmp_path, capsys):
+        bad = tmp_path / "mixed.json"
+        bad.write_text(json.dumps({"indices": [1, "w"], "kind": "explicit", "entries": []}))
+        for command in ("mincap", "space"):
+            code = main([command, "--hset", str(bad)])
+            err = capsys.readouterr().err
+            assert code == 5
+            assert "not a mix" in err and "Traceback" not in err
+
 
 class TestSeparate:
     def test_exit_codes_and_agreement_with_library(self, capsys, hset):
@@ -255,6 +277,40 @@ class TestAdversary:
     def test_missing_set_exits_5(self, capsys, hset, flags):
         code, out = run(capsys, "adversary", "--hset", str(hset), *flags)
         assert code == 5 and out == ""
+
+    def test_labels_file(self, tmp_path, capsys, hset):
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps({"labels": [["w", 1], ["w*2", 3], ["w*3", 1]]}))
+        code, out = run(
+            capsys, "adversary", "--hset", str(hset),
+            "--first", "w", "--second", "w*2,w*3", "--labels", str(labels),
+        )
+        assert code == 10
+        assert json.loads(out) == {"pair": ["w", "w*3"], "values": [1, 1]}
+
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            ({"labels": 5}, "'labels' list"),
+            ([["w", 1]], "'labels' list"),
+            ({"labels": [5]}, "bad label"),
+            ({"labels": [["w"]]}, "bad label"),
+            ({"labels": [["w", 1, 2]]}, "bad label"),
+            ({"labels": [["w", "1"]]}, "bad label"),
+            ({"labels": [[None, 1]]}, "bad label"),
+            ({"labels": [["w", 1], ["w*2", 1]]}, "no label for w*3"),
+        ],
+    )
+    def test_malformed_labels_exit_5(self, tmp_path, capsys, hset, data, problem):
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps(data))
+        code = main([
+            "adversary", "--hset", str(hset),
+            "--first", "w", "--second", "w*2,w*3", "--labels", str(labels),
+        ])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        assert problem in captured.err and "Traceback" not in captured.err
 
 
 class TestBound:

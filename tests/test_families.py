@@ -22,6 +22,7 @@ from fanlab import (
     random_ordinal,
     separation_labeling,
     sum_threshold_family,
+    ValidationError,
     verify_witness,
     weak_bound_avoiding,
     weak_bound_below,
@@ -80,6 +81,35 @@ class TestEval:
             again = FuncFamily.from_json(family.to_json())
             assert again.kind == family.kind
             assert again.value(o(1), o(4)) == family.value(o(1), o(4))
+
+    def test_explicit_ladders_round_trip(self):
+        ladders = LadderSystem.explicit({OMEGA: (o(1), o(3), o(8), o(9))})
+        again = FuncFamily.from_json(FuncFamily.ladder_disagreement(ladders, W2).to_json())
+        assert again.ladders.table == ladders.table
+
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            ([1], "JSON object"),
+            ({"kind": "walk", "bound": "w^(2)"}, "'ladders' object"),
+            ({"kind": "ladder", "bound": "w^(2)", "ladders": "canonical"}, "'ladders' object"),
+            ({"kind": "walk", "bound": 5, "ladders": {"kind": "canonical"}}, "'bound'"),
+            ({"kind": "walk", "bound": "w^(2)", "ladders": {"kind": "seeded"}}, "'seed'"),
+            ({"kind": "walk", "bound": "w", "ladders": {"kind": "explicit", "table": 5}}, "'table'"),
+            ({"kind": "walk", "bound": "w", "ladders": {"kind": "explicit", "table": {"w": [1]}}},
+             "'table'"),
+            ({"kind": "explicit", "indices": 3}, "'indices'"),
+            ({"kind": "explicit", "indices": [0, None]}, "'indices'"),
+            ({"kind": "explicit", "indices": [0, 1], "table": {"0": 1}}, "'table'"),
+            ({"kind": "explicit", "indices": [0, 1], "table": [[0, 1]]}, "bad table row"),
+            ({"kind": "explicit", "indices": [0, 1], "table": [[0, 5, 1]]}, "bad table row"),
+            ({"kind": "explicit", "indices": [0, 1], "table": [[0, 1, "2"]]}, "bad table row"),
+            ({"kind": "explicit", "indices": [0, 1], "default": "0"}, "'default'"),
+        ],
+    )
+    def test_from_json_rejects_malformed_structure(self, data, problem):
+        with pytest.raises(ValidationError, match=problem):
+            FuncFamily.from_json(data)
 
 
 class TestEmpiricalWitness:

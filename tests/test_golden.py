@@ -1,10 +1,10 @@
 """Golden CLI outputs: the stdout of one fixed pipeline, byte for byte.
 
 Each case runs gen -> hset --family -> mincap -> separate at min_cap and at
-min_cap - 1 -> space --format json on one tiny walk family, once with
-canonical and once with seeded ladders, and compares every stdout with the
-file of the same name under tests/golden/<case>/, and every exit code with
-that directory's exit_codes.json.  A change that alters any output fails here.
+min_cap - 1 -> space --format json and --format dot --depth-k 1 on one tiny
+walk family, once with canonical and once with seeded ladders, and compares
+every stdout with the file of the same name under tests/golden/<case>/, and
+every exit code with that directory's exit_codes.json.  A change that alters any output fails here.
 
 Regenerate the fixtures only when an output change is intended:
 
@@ -28,7 +28,13 @@ LADDERS = {
     "canonical": ["--ladders", "canonical"],
     "seeded": ["--ladders", "seeded", "--seed", "7"],
 }
-STEPS = ["gen", "hset", "mincap", "separate_at_min_cap", "separate_below_min_cap", "space"]
+STEPS = [
+    "gen", "hset", "mincap", "separate_at_min_cap", "separate_below_min_cap", "space", "space_dot",
+]
+
+
+def fixture_name(step: str) -> str:
+    return f"{step}.dot" if step == "space_dot" else f"{step}.json"
 
 
 def run_pipeline(ladders: list, workdir: Path) -> dict:
@@ -40,7 +46,7 @@ def run_pipeline(ladders: list, workdir: Path) -> dict:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = main([str(a) for a in argv])
         outputs[name] = (code, stdout.getvalue())
-        path = workdir / f"{name}.json"
+        path = workdir / fixture_name(name)
         path.write_text(stdout.getvalue())
         return path
 
@@ -50,6 +56,7 @@ def run_pipeline(ladders: list, workdir: Path) -> dict:
     step("separate_at_min_cap", "separate", "--hset", hset, "--cap", cap)
     step("separate_below_min_cap", "separate", "--hset", hset, "--cap", cap - 1)
     step("space", "space", "--hset", hset, "--format", "json")
+    step("space_dot", "space", "--hset", hset, "--format", "dot", "--depth-k", 1)
     return outputs
 
 
@@ -62,7 +69,7 @@ def pipeline(request, tmp_path_factory):
 @pytest.mark.parametrize("step", STEPS)
 def test_stdout_matches_golden(pipeline, step):
     case, outputs = pipeline
-    assert outputs[step][1].encode() == (GOLDEN / case / f"{step}.json").read_bytes()
+    assert outputs[step][1].encode() == (GOLDEN / case / fixture_name(step)).read_bytes()
 
 
 def test_exit_codes_match_golden(pipeline):
@@ -78,6 +85,6 @@ if __name__ == "__main__":
         target = GOLDEN / case
         target.mkdir(parents=True, exist_ok=True)
         for name, (_, text) in outputs.items():
-            (target / f"{name}.json").write_text(text)
+            (target / fixture_name(name)).write_text(text)
         codes = {name: code for name, (code, _) in outputs.items()}
         (target / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")

@@ -1,8 +1,12 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanlab import (
+    CombSpace,
     FuncFamily,
     ValidationError,
     build_space,
@@ -172,3 +176,140 @@ class TestTabulateAndExtract:
         data.validate_monotone()
         for i, n, j, m in data.cells:
             assert (j, m, i, n) in data.cells
+
+
+# -- the incidence index against the scan-based reference ---------------------
+#
+# Test-local copies of the scan-based neighborhood, the exhaustive clopen
+# search and the pairwise-disjointness table that the incidence index, the
+# closed-form clopen_check and the dominance table replaced.
+
+
+def scan_neighborhood(space, gamma, k):
+    points = {("idx", gamma)}
+    for p in space.isolated:
+        (a, n), (b, m) = p
+        if (a == gamma and n >= k) or (b == gamma and m >= k):
+            points.add(p)
+    return frozenset(points)
+
+
+def scan_clopen_check(space, gamma, k):
+    target = scan_neighborhood(space, gamma, k)
+    depth_cap = 1
+    for (a, n), (b, m) in space.isolated:
+        if a == gamma or b == gamma:
+            depth_cap = max(depth_cap, n + 1, m + 1)
+    for other in space.indices:
+        if other == gamma:
+            continue
+        if not any(
+            scan_neighborhood(space, other, j).isdisjoint(target) for j in range(depth_cap + 1)
+        ):
+            return False
+    return True
+
+
+def scan_tabulate(space, depth):
+    hoods = {}
+    for i, gamma in enumerate(space.indices):
+        for n in range(depth):
+            hoods[(i, n)] = scan_neighborhood(space, gamma, n)
+    cells = set()
+    for i in range(len(space.indices)):
+        for j in range(len(space.indices)):
+            if i == j:
+                continue
+            for n in range(depth):
+                for m in range(depth):
+                    if not hoods[(i, n)].isdisjoint(hoods[(j, m)]):
+                        cells.add((i, n, j, m))
+    return cells
+
+
+@st.composite
+def built_spaces(draw):
+    """Spaces of explicit families: each pair's points closed downward."""
+    size = draw(st.integers(1, 5))
+    entries = {}
+    for i in range(size):
+        for j in range(i + 1, size):
+            pairs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=3))
+            if pairs:
+                entries[(i, j)] = pairs
+    return build_space(explicit_hfamily(range(size), entries))
+
+
+@st.composite
+def json_spaces(draw):
+    """Spaces read from JSON: arbitrary point sets, not closed downward.
+
+    space_from_json accepts negative coordinates too; such points lie in no
+    basic neighborhood of depth >= 0.
+    """
+    size = draw(st.integers(1, 5))
+    positions = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(
+        lambda t: t[0] < t[1]
+    )
+    isolated = draw(st.lists(
+        st.tuples(positions, st.integers(-1, 7), st.integers(-1, 7)).map(
+            lambda t: [[t[0][0], t[1]], [t[0][1], t[2]]]
+        ),
+        max_size=12 if size > 1 else 0,
+    ))
+    return space_from_json({"indices": list(range(size)), "isolated": isolated})
+
+
+any_space = st.one_of(built_spaces(), json_spaces())
+
+
+class TestIncidenceIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(any_space, st.integers(-1, 7))
+    def test_neighborhood_equals_scan(self, space, k):
+        for gamma in space.indices:
+            assert space.neighborhood(gamma, k) == scan_neighborhood(space, gamma, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_space, st.integers(-1, 7))
+    def test_clopen_check_equals_exhaustive_search(self, space, k):
+        for gamma in space.indices:
+            assert clopen_check(space, gamma, k) == scan_clopen_check(space, gamma, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_space, st.integers(0, 7))
+    def test_tabulate_equals_pairwise_disjointness(self, space, depth):
+        data = tabulate_intersections(space, depth)
+        assert data.points == space.indices and data.depth == depth
+        assert data.cells == scan_tabulate(space, depth)
+
+    @settings(max_examples=50, deadline=None)
+    @given(any_space)
+    def test_dot_export_equals_scan(self, space):
+        for k in range(3):
+            dot = export_space(space, "dot", k)
+            edges = sum(len(scan_neighborhood(space, g, k)) - 1 for g in space.indices)
+            assert dot.count(" -- ") == edges
+
+    def test_index_without_incident_points(self):
+        space = build_space(explicit_hfamily([0, 1, 2], {(0, 1): [(2, 3)]}))
+        assert space.neighborhood(2, 0) == frozenset({("idx", 2)})
+        assert clopen_check(space, 2, 0)
+        assert all(2 not in (i, j) for i, _, j, _ in tabulate_intersections(space, 4).cells)
+
+    def test_one_index_space(self):
+        space = build_space(explicit_hfamily([7], {}))
+        assert space.neighborhood(7, 0) == frozenset({("idx", 7)})
+        assert clopen_check(space, 7, 3)
+        assert tabulate_intersections(space, 5).cells == frozenset()
+
+    def test_equality_and_hash_ignore_the_index(self):
+        built = build_space(explicit_hfamily([0, 1, 2], {(0, 2): [(1, 1)], (1, 2): [(2, 0)]}))
+        bare = CombSpace(built.indices, built.isolated)
+        built.neighborhood(0, 0)
+        assert "_incident" in vars(built) and "_incident" not in vars(bare)
+        assert bare == built and hash(bare) == hash(built)
+        assert [f.name for f in dataclasses.fields(CombSpace)] == ["indices", "isolated"]
+        assert "_incident" not in repr(built)
+        other = CombSpace(built.indices, built.isolated[:1])
+        assert other != built
