@@ -68,9 +68,7 @@ from .spaces import (
     build_space,
     clopen_check,
     export_space,
-    induced_point_set,
     probe_fan_closure,
-    product_open_meets,
     space_from_json,
     space_separation_check,
     space_to_json,

@@ -208,7 +208,7 @@ class HFamily:
                 )
             try:
                 cdw = CdwSet(tuple((int(n), int(m)) for n, m in staircase))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"bad staircase for entry ({i}, {j}): {exc}") from exc
             entries[(indices[i], indices[j])] = cdw
         return cls(indices, entries, family)
@@ -247,56 +247,39 @@ def sum_threshold_family(family: FuncFamily, indices) -> HFamily:
 
 @dataclass(frozen=True)
 class SpaceData:
-    """Finite table of which basic neighborhoods meet which.
+    """Finite table of which basic neighborhoods meet which, below depth.
 
-    cells holds (i, n, j, m) position-based entries meaning the n-th basic
-    neighborhood of point i meets the m-th of point j; bases decrease, so a
-    true cell forces the cells with smaller n or m to be true as well.
+    pairs maps a position pair (i, j) with i < j to the set of (n, m) such
+    that the n-th basic neighborhood of point i meets the m-th of point j;
+    pairs whose neighborhoods never meet are left out.  Bases decrease, so
+    each such set is downward closed: one staircase per pair.
     """
 
     points: tuple
     depth: int
-    cells: frozenset = field(default_factory=frozenset)
+    pairs: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for (i, j), cdw in self.pairs.items():
+            if not 0 <= i < j < len(self.points):
+                raise ValidationError(f"pair {(i, j)} outside the table domain")
+            if max(cdw.max_n(), cdw.max_m()) >= self.depth:
+                raise ValidationError(f"staircase of pair {(i, j)} reaches depth {self.depth}")
 
     def intersects(self, i: int, n: int, j: int, m: int) -> bool:
-        return (i, n, j, m) in self.cells
-
-    def validate_monotone(self) -> None:
-        for i, n, j, m in self.cells:
-            if n >= self.depth or m >= self.depth or i == j:
-                raise ValidationError(f"cell {(i, n, j, m)} outside the table domain")
-            if (n and (i, n - 1, j, m) not in self.cells) or (
-                m and (i, n, j, m - 1) not in self.cells
-            ):
-                raise ValidationError(
-                    f"cell {(i, n, j, m)} violates the decreasing-base property"
-                )
+        """Whether U_n(point i) meets U_m(point j); symmetric in (i, n) and (j, m)."""
+        if i > j:
+            i, n, j, m = j, m, i, n
+        return (n, m) in self.pairs.get((i, j), EMPTY_CDW)
 
 
 @dataclass(frozen=True)
 class ExtractionResult:
     family: HFamily
-    pruning_h: dict
-    pruning_g: dict
 
 
 def extract_from_space(data: SpaceData) -> ExtractionResult:
-    """Recover a downward-closed family from neighborhood-intersection data.
-
-    The pruning thresholds are the least values below which every section of
-    the table is finite; on a finite table every section already is, so both
-    come out 0 and the pruned table equals the input.  They are still
-    computed and reported so the pipeline keeps its full shape.
-    """
-    data.validate_monotone()
-    pruning_h = {p: 0 for p in data.points}
-    pruning_g = {p: 0 for p in data.points}
-    collected: dict[tuple, set] = {}
-    for i, n, j, m in data.cells:
-        if i < j:
-            a, b = data.points[i], data.points[j]
-            if n >= pruning_h[a] and m >= pruning_g[b]:
-                collected.setdefault((a, b), set()).add((n, m))
-    entries = {key: downward_close(pairs) for key, pairs in collected.items()}
-    family = HFamily(data.points, entries)
-    return ExtractionResult(family, pruning_h, pruning_g)
+    """Recover a downward-closed family from neighborhood-intersection data:
+    each position pair's staircase, relabelled by its points."""
+    p = data.points
+    return ExtractionResult(HFamily(p, {(p[i], p[j]): cdw for (i, j), cdw in data.pairs.items()}))

@@ -352,13 +352,6 @@ class LadderSystem:
     def explicit(cls, table) -> "LadderSystem":
         return cls("explicit", table=dict(table))
 
-    @property
-    def key(self) -> tuple:
-        """Hashable identity used by memo caches."""
-        if self.kind == "explicit":
-            return ("explicit", id(self.table))
-        return (self.kind, self.seed)
-
     def _prefix(self, alpha: Ordinal) -> tuple[int, int]:
         """(p, shift) of a seeded ladder, memoized per limit.
 

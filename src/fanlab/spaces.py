@@ -24,7 +24,9 @@ from .separation import solve_separation
 @dataclass(frozen=True)
 class CombSpace:
     indices: tuple
-    isolated: tuple  # of ((a, n), (b, m)) with a < b both in indices
+    # of ((a, n), (b, m)) with a < b both in indices, in canonical order: by
+    # position of a, then position of b, then n, then m.  The exports rely on it.
+    isolated: tuple
 
     @cached_property
     def _incident(self) -> dict:
@@ -93,7 +95,7 @@ def clopen_check(space: CombSpace, gamma, k: int) -> bool:
     one plus the largest coordinate incident to gamma (at least 1), the depth
     beyond which only the index point itself is left.
     """
-    cap = 1 + max((max(n, m, 0) for (_, n), (_, m) in space.incident(gamma)), default=0)
+    cap = 1 + max((max(n, m) for (_, n), (_, m) in space.incident(gamma)), default=0)
     return all(
         (m if a == gamma else n) < cap for (a, n), (_, m) in space.incident(gamma, k)
     )
@@ -106,16 +108,6 @@ def clopen_check(space: CombSpace, gamma, k: int) -> bool:
 class FanClosureResult:
     adversary_wins: bool
     escape: dict | None  # labeling g with V_g missing the point set, if any
-
-
-def induced_point_set(h: HFamily, B) -> list:
-    """S_B: the fan-square points ((a, n), (b, m)) the family puts over B."""
-    return list(build_space(h, B).isolated)
-
-
-def product_open_meets(points, g: dict) -> bool:
-    """Whether the basic product open coded by g meets the given point set."""
-    return any(n >= g[a] and m >= g[b] for (a, n), (b, m) in points)
 
 
 def probe_fan_closure(h: HFamily, B, cap: int) -> FanClosureResult:
@@ -137,22 +129,48 @@ def space_to_json(space: CombSpace) -> dict:
     return {
         "indices": [index_to_json(v) for v in space.indices],
         "isolated": [
-            [[pos[a], n], [pos[b], m]] for (a, n), (b, m) in sorted(
-                space.isolated, key=lambda p: (pos[p[0][0]], pos[p[1][0]], p[0][1], p[1][1])
-            )
+            [[pos[a], n], [pos[b], m]] for (a, n), (b, m) in space.isolated
         ],
     }
 
 
-def space_from_json(data: dict) -> CombSpace:
-    indices = tuple(index_from_json(v) for v in data["indices"])
-    isolated = []
-    for (i, n), (j, m) in data["isolated"]:
-        if not (0 <= i < len(indices) and 0 <= j < len(indices)) or i >= j:
-            raise ValidationError(f"bad isolated point [[{i},{n}],[{j},{m}]]")
-        isolated.append(((indices[i], int(n)), (indices[j], int(m))))
-    return CombSpace(indices, tuple(sorted(isolated, key=lambda p: (
-        indices.index(p[0][0]), indices.index(p[1][0]), p[0][1], p[1][1]))))
+def space_from_json(data) -> CombSpace:
+    """Read and validate a space file; the isolated points come out in canonical order.
+
+    indices must be a strictly increasing list of ints or of ordinal literals,
+    and every isolated point a distinct [[i, n], [j, m]] of JSON ints with
+    0 <= i < j < len(indices) and n, m >= 0.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError("a space must be a JSON object")
+    raw = data.get("indices")
+    if not isinstance(raw, list) or not (
+        all(type(v) is int for v in raw) or all(isinstance(v, str) for v in raw)
+    ):
+        raise ValidationError("a space needs an 'indices' list of ints or of ordinal literals")
+    indices = tuple(index_from_json(v) for v in raw)
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise ValidationError("space indices must be strictly increasing")
+    if not isinstance(data.get("isolated"), list):
+        raise ValidationError("a space needs an 'isolated' list")
+    keys = []
+    for point in data["isolated"]:
+        try:
+            (i, n), (j, m) = point
+        except (TypeError, ValueError):
+            raise ValidationError(f"isolated point {point!r} is not [[i, n], [j, m]]") from None
+        if not (
+            type(i) is type(j) is type(n) is type(m) is int
+            and 0 <= i < j < len(indices) and n >= 0 and m >= 0
+        ):
+            raise ValidationError(
+                f"isolated point {point!r} needs ints 0 <= i < j < {len(indices)} and n, m >= 0"
+            )
+        keys.append((i, j, n, m))
+    if len(set(keys)) < len(keys):
+        raise ValidationError("an isolated point is listed twice")
+    keys.sort()
+    return CombSpace(indices, tuple(((indices[i], n), (indices[j], m)) for i, j, n, m in keys))
 
 
 def space_to_dot(space: CombSpace, k: int = 0) -> str:
@@ -162,7 +180,7 @@ def space_to_dot(space: CombSpace, k: int = 0) -> str:
     for i, v in enumerate(space.indices):
         lines.append(f'  idx_{i} [shape=box, label="{v}"];')
     names = {}
-    for p in sorted(space.isolated, key=lambda p: (pos[p[0][0]], pos[p[1][0]], p[0][1], p[1][1])):
+    for p in space.isolated:
         (a, n), (b, m) = p
         name = f"iso_{pos[a]}_{n}_{pos[b]}_{m}"
         names[p] = name
@@ -187,20 +205,14 @@ def tabulate_intersections(space: CombSpace, depth: int) -> SpaceData:
     """The true neighborhood-intersection table of a built space, below depth.
 
     U_n(g_i) meets U_m(g_j) exactly when an isolated point on the pair
-    {g_i, g_j} dominates (n, m), so the cells of a pair are the downward
+    {g_i, g_j} dominates (n, m), so the table of a pair is the downward
     closure of its points clipped to the table.
     """
     pos = {v: i for i, v in enumerate(space.indices)}
     by_pair = {}
     if depth > 0:
         for (a, n), (b, m) in space.isolated:
-            if n >= 0 and m >= 0:
-                by_pair.setdefault((pos[a], pos[b]), []).append(
-                    (min(n, depth - 1), min(m, depth - 1))
-                )
-    cells = set()
-    for (i, j), pairs in by_pair.items():
-        for n, m in downward_close(pairs).points():
-            cells.add((i, n, j, m))
-            cells.add((j, m, i, n))
-    return SpaceData(space.indices, depth, frozenset(cells))
+            by_pair.setdefault((pos[a], pos[b]), []).append((min(n, depth - 1), min(m, depth - 1)))
+    return SpaceData(
+        space.indices, depth, {key: downward_close(pairs) for key, pairs in by_pair.items()}
+    )

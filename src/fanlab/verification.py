@@ -320,10 +320,10 @@ def check_exact_quantities() -> CheckReport:
     pair = triangle.restrict([0, 1])
     probe1 = spaces.probe_fan_closure(pair, [0, 1], 1)
     probe2 = spaces.probe_fan_closure(pair, [0, 1], 2)
-    points = spaces.induced_point_set(pair, [0, 1])
+    space = spaces.build_space(pair, [0, 1])
     if not probe1.adversary_wins or exists_separation_capped(pair, [0, 1], 1).separated:
         report.failures.append("threshold-3 pair should block every cap-1 labeling")
-    if probe2.adversary_wins or spaces.product_open_meets(points, probe2.escape):
+    if probe2.adversary_wins or not spaces.space_separation_check(space, [0, 1], probe2.escape):
         report.failures.append("threshold-3 pair should have a cap-2 escape")
     return report
 
@@ -359,8 +359,6 @@ def check_extraction_roundtrip(seed: int, cases: int = 200) -> CheckReport:
             if extracted.family.get(a, b) != h.get(a, b):
                 report.failures.append(f"pair ({a}, {b}) of {h.to_json()}")
                 break
-        if any(extracted.pruning_h.values()) or any(extracted.pruning_g.values()):
-            report.failures.append("finite pruning thresholds should be 0")
     return report
 
 

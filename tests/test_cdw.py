@@ -245,19 +245,19 @@ class TestExtraction:
             assert result.family.get(a, b).is_empty
 
     def test_single_cell(self):
-        data = SpaceData((0, 1), 2, frozenset({(0, 0, 1, 0), (1, 0, 0, 0)}))
+        data = SpaceData((0, 1), 2, {(0, 1): CdwSet(((0, 0),))})
         result = extract_from_space(data)
         assert result.family.get(0, 1).staircase == ((0, 0),)
-        assert result.pruning_h == {0: 0, 1: 0}
-        assert result.pruning_g == {0: 0, 1: 0}
         assert result.family.to_json()["kind"] == "explicit"
 
-    def test_rejects_non_monotone_tables(self):
-        data = SpaceData((0, 1), 3, frozenset({(0, 1, 1, 0)}))  # (0,0,1,0) missing
-        with pytest.raises(ValidationError):
-            extract_from_space(data)
-
     def test_rejects_out_of_range_cells(self):
-        data = SpaceData((0, 1), 2, frozenset({(0, 5, 1, 0)}))
-        with pytest.raises(ValidationError):
-            extract_from_space(data)
+        for pairs in (
+            {(0, 1): CdwSet(((5, 0),))},  # n beyond the depth
+            {(0, 1): CdwSet(((0, 2),))},  # m at the depth
+            {(1, 0): CdwSet(((0, 0),))},  # pair not increasing
+            {(1, 1): CdwSet(((0, 0),))},  # a point with itself
+            {(0, 2): CdwSet(((0, 0),))},  # position out of range
+            {(-1, 1): CdwSet(((0, 0),))},
+        ):
+            with pytest.raises(ValidationError):
+                SpaceData((0, 1), 2, pairs)

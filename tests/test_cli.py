@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import random
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanlab import FuncFamily, HFamily, min_cap, solve_separation, sum_threshold_family
 from fanlab import cli
@@ -174,6 +179,7 @@ class TestHset:
                 "family": FuncFamily.explicit({(0, 1): 1}).to_json(),
                 "entries": [[0, 5, [[0, 0]]]],
             },
+            {"indices": [0, 1], "kind": "explicit", "entries": [[0, 1, [[0, math.inf]]]]},
         ],
     )
     def test_malformed_structure_exits_5(self, tmp_path, capsys, data):
@@ -432,6 +438,56 @@ class TestConfigFile:
         config.write_text("[1, 2]")
         code, _ = run(capsys, "eval", "--family", str(walk_family), "--config", str(config))
         assert code == 5
+
+
+# Random JSON for the input files, with the literals and keys the readers look
+# for, so that some files get past the first checks.  Numbers stay below 10:
+# `space` enumerates every point of every staircase, and nothing yet bounds
+# how many there are (ROADMAP item 6).
+_KEYS = st.sampled_from(["indices", "kind", "entries", "family", "bound", "isolated"])
+_NUMBER = (
+    st.integers(-2, 9) | st.floats(-10, 10) | st.booleans()
+    | st.sampled_from([math.inf, -math.inf, math.nan])
+)
+_LEAVES = _NUMBER | st.none() | st.sampled_from(
+    ["w", "w*2", "w^(2)", "w+1", "3", "x", "", "explicit", "sum_threshold"]
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+_POINT = st.tuples(_NUMBER, _NUMBER).map(list) | st.lists(_LEAVES, max_size=3)
+_ENTRY = st.tuples(st.integers(-1, 3), st.integers(0, 4), st.lists(_POINT, max_size=3)).map(list)
+_HSET_LIKE = st.fixed_dictionaries({
+    "indices": st.lists(st.integers(-1, 5), max_size=5, unique=True)
+    | st.lists(st.sampled_from(["w", "w*2", "w^(2)", "w+1", "x", 1]), max_size=4) | _JSON,
+}, optional={
+    "kind": st.sampled_from(["explicit", "sum_threshold", "from_space"]) | _LEAVES,
+    "entries": st.lists(_ENTRY, max_size=3) | _JSON,
+    "family": _JSON,
+})
+# A well-formed hset but for its one staircase.
+_ONE_ENTRY = st.lists(_POINT, max_size=3).map(
+    lambda points: {"indices": [0, 1, 2], "entries": [[0, 2, points]]}
+)
+_DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 5, 10}
+
+
+class TestInputFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON | _HSET_LIKE | _ONE_ENTRY)
+    def test_any_input_file_ends_in_a_documented_exit(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "input.json"
+        path.write_text(json.dumps(data))
+        for command, flag in (
+            ("hset", "--table"), ("space", "--hset"), ("mincap", "--hset"), ("separate", "--hset"),
+        ):
+            with (
+                contextlib.redirect_stdout(io.StringIO()),
+                contextlib.redirect_stderr(io.StringIO()),
+            ):
+                assert main([command, flag, str(path)]) in _DOCUMENTED_EXITS
 
 
 class TestParserCache:

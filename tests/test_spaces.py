@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanlab import (
+    CdwSet,
     CombSpace,
     FuncFamily,
+    OrdinalParseError,
     ValidationError,
     build_space,
     clopen_check,
     explicit_hfamily,
     export_space,
     extract_from_space,
-    induced_point_set,
     is_separation,
     probe_fan_closure,
-    product_open_meets,
     space_from_json,
     space_separation_check,
     space_to_json,
@@ -30,6 +30,23 @@ from fanlab.verification import random_hfamily, random_labeling
 def threshold_family(h: int, size: int):
     table = {(i, j): h for i in range(size) for j in range(i + 1, size)}
     return sum_threshold_family(FuncFamily.explicit(table), range(size))
+
+
+_LEAVES = (
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats()
+    | st.sampled_from(["w", "w*2", "w^(2)", "3", "x", ""])
+)
+_ANY_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["indices", "isolated", "kind"]), inner, max_size=3),
+    max_leaves=20,
+)
+# Lists shaped like [[[i, n], [j, m]], ...], often with small ints for the leaves.
+_PAIR_LIKE = st.lists(st.integers(0, 3), min_size=2, max_size=2) | st.lists(_LEAVES, max_size=3)
+_ISOLATED_LIKE = st.lists(
+    st.tuples(_PAIR_LIKE, _PAIR_LIKE).map(list) | st.lists(_PAIR_LIKE, max_size=3), max_size=4
+)
 
 
 class TestBuildSpace:
@@ -117,15 +134,15 @@ class TestFanClosure:
         assert probe_fan_closure(h, [0, 1], 1).adversary_wins
         probe = probe_fan_closure(h, [0, 1], 2)
         assert probe.escape == {0: 2, 1: 2}
-        assert not product_open_meets(induced_point_set(h, [0, 1]), probe.escape)
+        assert space_separation_check(build_space(h, [0, 1]), [0, 1], probe.escape)
 
     def test_adversary_means_every_labeling_meets_the_points(self):
         import itertools
 
         h = threshold_family(3, 2)
-        points = induced_point_set(h, [0, 1])
+        space = build_space(h, [0, 1])
         for values in itertools.product(range(2), repeat=2):
-            assert product_open_meets(points, dict(zip([0, 1], values)))
+            assert not space_separation_check(space, [0, 1], dict(zip([0, 1], values)))
 
 
 class TestExport:
@@ -155,6 +172,51 @@ class TestExport:
         with pytest.raises(ValidationError):
             space_from_json({"indices": [0, 1], "isolated": [[[1, 0], [0, 0]]]})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1],
+            {"indices": [0, 1]},
+            {"indices": 5, "isolated": []},
+            {"indices": [0.5, 1], "isolated": []},
+            {"indices": [0, "w"], "isolated": []},
+            {"indices": [1, 0], "isolated": [[[0, 0], [1, 0]]]},
+            {"indices": [0, 0], "isolated": []},
+            {"indices": ["w*2", "w"], "isolated": []},
+            {"indices": [0, 1], "isolated": {}},
+            {"indices": [0, 1], "isolated": [5]},
+            {"indices": [0, 1], "isolated": [[[0, 0], [1]]]},
+            {"indices": [0, 1], "isolated": [[[0, "a"], [1, 0]]]},
+            {"indices": [0, 1], "isolated": [[[0, True], [1, 0]]]},
+            {"indices": [0, 1], "isolated": [[[0, 2.7], [1, 0]]]},
+            {"indices": [0, 1], "isolated": [[[0, 0], [1, -1]]]},
+            {"indices": [0, 1], "isolated": [[[0, 0], [2, 0]]]},
+            {"indices": [0, 1], "isolated": [[[0, 0], [1, 0]], [[0, 0], [1, 0]]]},
+        ],
+    )
+    def test_rejects_malformed_structure(self, data):
+        with pytest.raises(ValidationError):
+            space_from_json(data)
+
+    def test_isolated_points_read_in_canonical_order(self):
+        rng = random.Random(35)
+        for _ in range(50):
+            space = build_space(random_hfamily(rng, rng.randint(2, 5)))
+            doc = space_to_json(space)
+            rng.shuffle(doc["isolated"])
+            read = space_from_json(doc)
+            assert read == space
+            for fmt in ("json", "dot"):
+                assert export_space(read, fmt, 1) == export_space(space, fmt, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ANY_JSON | _ISOLATED_LIKE.map(lambda iso: {"indices": [0, 1, 2], "isolated": iso}))
+    def test_any_json_is_read_or_rejected(self, data):
+        try:
+            assert isinstance(space_from_json(data), CombSpace)
+        except (ValidationError, OrdinalParseError):
+            pass
+
 
 class TestTabulateAndExtract:
     def test_round_trip_recovers_the_family(self):
@@ -173,9 +235,11 @@ class TestTabulateAndExtract:
     def test_table_is_symmetric_and_monotone(self):
         h = explicit_hfamily([0, 1], {(0, 1): [(2, 1)]})
         data = tabulate_intersections(build_space(h), 4)
-        data.validate_monotone()
-        for i, n, j, m in data.cells:
-            assert (j, m, i, n) in data.cells
+        assert data.pairs == {(0, 1): CdwSet(((2, 1),))}
+        for n in range(-1, 5):
+            for m in range(-1, 5):
+                meets = 0 <= n <= 2 and 0 <= m <= 1
+                assert data.intersects(0, n, 1, m) == data.intersects(1, m, 0, n) == meets
 
 
 # -- the incidence index against the scan-based reference ---------------------
@@ -242,21 +306,16 @@ def built_spaces(draw):
 
 @st.composite
 def json_spaces(draw):
-    """Spaces read from JSON: arbitrary point sets, not closed downward.
-
-    space_from_json accepts negative coordinates too; such points lie in no
-    basic neighborhood of depth >= 0.
-    """
+    """Spaces read from JSON: arbitrary distinct points, not closed downward."""
     size = draw(st.integers(1, 5))
     positions = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(
         lambda t: t[0] < t[1]
     )
     isolated = draw(st.lists(
-        st.tuples(positions, st.integers(-1, 7), st.integers(-1, 7)).map(
-            lambda t: [[t[0][0], t[1]], [t[0][1], t[2]]]
-        ),
+        st.tuples(positions, st.integers(0, 7), st.integers(0, 7)),
         max_size=12 if size > 1 else 0,
-    ))
+        unique=True,
+    ).map(lambda ts: [[[t[0][0], t[1]], [t[0][1], t[2]]] for t in ts]))
     return space_from_json({"indices": list(range(size)), "isolated": isolated})
 
 
@@ -281,7 +340,13 @@ class TestIncidenceIndex:
     def test_tabulate_equals_pairwise_disjointness(self, space, depth):
         data = tabulate_intersections(space, depth)
         assert data.points == space.indices and data.depth == depth
-        assert data.cells == scan_tabulate(space, depth)
+        size, span = len(space.indices), range(-1, depth + 2)
+        table = {
+            (i, n, j, m)
+            for i in range(size) for j in range(size) for n in span for m in span
+            if data.intersects(i, n, j, m)
+        }
+        assert table == scan_tabulate(space, depth)
 
     @settings(max_examples=50, deadline=None)
     @given(any_space)
@@ -295,13 +360,18 @@ class TestIncidenceIndex:
         space = build_space(explicit_hfamily([0, 1, 2], {(0, 1): [(2, 3)]}))
         assert space.neighborhood(2, 0) == frozenset({("idx", 2)})
         assert clopen_check(space, 2, 0)
-        assert all(2 not in (i, j) for i, _, j, _ in tabulate_intersections(space, 4).cells)
+        data = tabulate_intersections(space, 4)
+        assert all(2 not in pair for pair in data.pairs)
+        assert not any(
+            data.intersects(2, n, j, m) for j in (0, 1) for n in range(4) for m in range(4)
+        )
 
     def test_one_index_space(self):
         space = build_space(explicit_hfamily([7], {}))
         assert space.neighborhood(7, 0) == frozenset({("idx", 7)})
         assert clopen_check(space, 7, 3)
-        assert tabulate_intersections(space, 5).cells == frozenset()
+        data = tabulate_intersections(space, 5)
+        assert data.pairs == {} and not data.intersects(0, 0, 0, 0)
 
     def test_equality_and_hash_ignore_the_index(self):
         built = build_space(explicit_hfamily([0, 1, 2], {(0, 2): [(1, 1)], (1, 2): [(2, 0)]}))
