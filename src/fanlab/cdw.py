@@ -19,9 +19,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, GuardExceeded, ValidationError
 from .families import FuncFamily
-from .ordinals import index_from_json, index_to_json
+from .ordinals import check_index_kinds, index_from_json, index_to_json
+
+# The largest family value sum_threshold materializes as a staircase.
+MAX_THRESHOLD = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,15 @@ def downward_close(pairs: Iterable[tuple[int, int]]) -> CdwSet:
 
 
 def sum_threshold(family: FuncFamily, alpha, beta) -> CdwSet:
-    """The set {(n, m) : n + m <= h} for h the family value at (alpha, beta)."""
+    """The set {(n, m) : n + m <= h} for h the family value at (alpha, beta).
+
+    Its staircase has h + 1 points, so GuardExceeded when h > MAX_THRESHOLD.
+    """
     h = family.value(alpha, beta)
+    if h > MAX_THRESHOLD:
+        raise GuardExceeded(
+            f"h({alpha}, {beta}) = {h} exceeds {MAX_THRESHOLD}: its staircase has h + 1 points"
+        )
     return CdwSet(tuple((t, h - t) for t in range(h + 1)))
 
 
@@ -118,8 +128,7 @@ class HFamily:
 
     def __init__(self, indices, entries=None, family: FuncFamily | None = None):
         indices = set(indices)
-        if len({isinstance(v, int) for v in indices}) > 1:
-            raise ValidationError("indices must be all integers or all ordinals, not a mix")
+        check_index_kinds(indices)
         self.indices = tuple(sorted(indices))
         self.family = family
         self._pos = {v: i for i, v in enumerate(self.indices)}
@@ -207,8 +216,11 @@ class HFamily:
                     f"entry ({i!r}, {j!r}) needs positions i < j in range({len(indices)})"
                 )
             try:
-                cdw = CdwSet(tuple((int(n), int(m)) for n, m in staircase))
-            except (TypeError, ValueError, OverflowError) as exc:
+                points = tuple((n, m) for n, m in staircase)
+                if not all(type(n) is int and type(m) is int for n, m in points):
+                    raise TypeError("coordinates must be JSON ints")
+                cdw = CdwSet(points)
+            except (TypeError, ValueError) as exc:
                 raise ValidationError(f"bad staircase for entry ({i}, {j}): {exc}") from exc
             entries[(indices[i], indices[j])] = cdw
         return cls(indices, entries, family)

@@ -42,6 +42,7 @@ from .families import (
 from .ordinals import (
     LadderSystem,
     Ordinal,
+    check_index_kinds,
     first_limits,
     index_to_json,
     parse_index,
@@ -136,12 +137,23 @@ def _wants_ordinals(indices) -> bool:
 
 
 def _coerce_indices(values, ordinal: bool) -> list:
-    if not ordinal:
-        return list(values)
-    return [Ordinal.from_int(v) if isinstance(v, int) else v for v in values]
+    if ordinal:
+        return [Ordinal.from_int(v) if isinstance(v, int) else v for v in values]
+    check_index_kinds(values)
+    return list(values)
 
 
 STALE_DRAW_LIMIT = 1000
+# The most indices, sample points, probes or ladder prefix steps that a flag or
+# an index spec may ask for.  Work and memory grow with these counts, so more
+# exit 3 at once.
+MAX_ASKED = 1 << 12
+
+
+def _asked(count: int | None, what: str) -> int | None:
+    if count is not None and count > MAX_ASKED:
+        raise GuardExceeded(f"{what} asks for {count}, more than {MAX_ASKED}")
+    return count
 
 
 def _random_points(rng: random.Random, bound, count: int) -> list:
@@ -173,7 +185,7 @@ def _parse_index_spec(spec, bound, seed: int, ordinal: bool = False) -> list:
         if bound is None:
             raise ValidationError(f"'{mode}:N' needs an ordinal bound")
         try:
-            n = int(count)
+            n = _asked(int(count), spec)
         except ValueError:
             raise ValidationError(f"bad index spec {spec!r}: N must be an integer") from None
         if mode == "first":
@@ -385,8 +397,9 @@ def cmd_bound(args, config) -> int:
         raise ValidationError("bounds are built for ladder or explicit families")
     seed = _setting(args, config, "seed", 0)
     rng = random.Random(seed)
-    count = _setting(args, config, "points", 8)
-    depth = _setting(args, config, "prefix_depth", 3)
+    count = _asked(_setting(args, config, "points", 8), "points")
+    depth = _asked(_setting(args, config, "prefix_depth", 3), "prefix_depth")
+    probe = _asked(_setting(args, config, "probe"), "probe")
     gamma_text = _setting(args, config, "gamma")
     avoid_spec = _setting(args, config, "avoid")
     if (gamma_text is None) == (avoid_spec is None):
@@ -424,7 +437,6 @@ def cmd_bound(args, config) -> int:
     doc = bound.to_json()
     doc.update(mode)
     doc["violations"] = [_pair_json(p) for p in violations]
-    probe = _setting(args, config, "probe")
     if probe is not None:
         extra = set(bound.certified_on)
         extra.update(
@@ -456,6 +468,7 @@ def _parse_schedule(spec: str, bound, seed: int) -> list[list]:
         lo, hi = (int(part) for part in span.split("..", 1))
     except ValueError as exc:
         raise ValidationError(f"bad schedule {spec!r}: {exc}") from exc
+    _asked(hi, spec)
     if mode == "first":
         if bound is None:
             raise ValidationError("'first' schedules need an ordinal bound")

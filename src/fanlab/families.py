@@ -17,10 +17,18 @@ maxima otherwise; both are checked exhaustively on the certification sample.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .errors import ClosureError, DomainError, ValidationError
-from .ordinals import LadderSystem, Ordinal, index_from_json, index_to_json, parse_ordinal
+from .ordinals import (
+    LadderSystem,
+    Ordinal,
+    check_index_kinds,
+    index_from_json,
+    index_to_json,
+    parse_ordinal,
+)
 from .walks import CSequence
 
 _DISAGREE_SCAN_LIMIT = 1 << 16
@@ -56,13 +64,13 @@ class FuncFamily:
 
     @classmethod
     def explicit(cls, table: dict, bound=None, indices=(), default: int = 0) -> "FuncFamily":
-        keys = set(indices)
+        keys = set(indices).union(*table)
+        check_index_kinds(keys)
         for (a, b), v in table.items():
             if not a < b:
                 raise ValidationError(f"table key ({a}, {b}) is not increasing")
             if v < 0:
                 raise ValidationError("family values must be naturals")
-            keys.update((a, b))
         return cls("explicit", bound, table=table, indices=keys, default=default)
 
     def _check_pair(self, alpha, beta) -> None:
@@ -250,7 +258,6 @@ def close_avoiding(
     if avoid & set(club):
         raise ClosureError("the club must avoid the given set")
     ladders = _club_ladders(family)
-    top = club[-1] if club else None
 
     def expand(x):
         extra = _prefix_points(ladders, x, prefix_depth)
@@ -282,21 +289,14 @@ def is_closed(family: FuncFamily, closure: SampleClosure) -> bool:
     return again.points == closure.points
 
 
-def _first_above(values: tuple, x) -> Ordinal | None:
-    for v in values:
-        if v > x:
-            return v
-    return None
+def _first_above(sorted_values: tuple, x) -> Ordinal | None:
+    i = bisect.bisect_right(sorted_values, x)
+    return sorted_values[i] if i < len(sorted_values) else None
 
 
-def _last_below(values: tuple, x) -> Ordinal | None:
-    out = None
-    for v in values:
-        if v < x:
-            out = v
-        else:
-            break
-    return out
+def _last_below(sorted_values: tuple, x) -> Ordinal | None:
+    i = bisect.bisect_left(sorted_values, x)
+    return sorted_values[i - 1] if i else None
 
 
 # -- the weak-bound recursion -----------------------------------------------

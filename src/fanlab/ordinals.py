@@ -19,16 +19,15 @@ import re
 
 from .errors import DomainError, OrdinalParseError, ValidationError
 
-LT, EQ, GT = -1, 0, 1
-
 
 class Ordinal:
     """Immutable ordinal below epsilon_0 in Cantor normal form."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_key", "_hash")
 
     def __init__(self, terms: tuple = ()):
         self.terms = tuple(terms)
+        self._key = None
         self._hash = None
 
     # -- construction ------------------------------------------------------
@@ -78,39 +77,34 @@ class Ordinal:
 
     # -- order -------------------------------------------------------------
 
+    @property
+    def key(self) -> tuple:
+        """Key whose tuple order is Cantor-normal-form order: term by term,
+        exponent before coefficient, and a proper prefix is smaller."""
+        if self._key is None:
+            self._key = tuple((e.key, c) for e, c in self.terms)
+        return self._key
+
     def compare(self, other: "Ordinal") -> int:
         """Total order; returns -1, 0 or 1."""
-        for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
-            c = e1.compare(e2)
-            if c:
-                return c
-            if c1 != c2:
-                return LT if c1 < c2 else GT
-        if len(self.terms) == len(other.terms):
-            return EQ
-        return LT if len(self.terms) < len(other.terms) else GT
+        return (self.key > other.key) - (self.key < other.key)
 
     def __eq__(self, other):
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return self.terms == other.terms
-
-    def __ne__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.terms != other.terms
+        return self.key == other.key
 
     def __lt__(self, other):
-        return self.compare(other) < 0
+        return self.key < other.key
 
     def __le__(self, other):
-        return self.compare(other) <= 0
+        return self.key <= other.key
 
     def __gt__(self, other):
-        return self.compare(other) > 0
+        return self.key > other.key
 
     def __ge__(self, other):
-        return self.compare(other) >= 0
+        return self.key >= other.key
 
     def __hash__(self):
         if self._hash is None:
@@ -203,7 +197,7 @@ class _Parser:
             if t is None:
                 raise OrdinalParseError("'0' may only appear as the whole literal")
             exp, coeff = t
-            if flat and flat[-1][0].compare(exp) <= 0:
+            if flat and flat[-1][0] <= exp:
                 raise OrdinalParseError("exponents must be strictly decreasing")
             flat.append((exp, coeff))
         return Ordinal(tuple(flat))
@@ -506,6 +500,12 @@ def parse_index(text: str):
     if re.fullmatch(r"\d+", text):
         return int(text)
     return parse_ordinal(text)
+
+
+def check_index_kinds(values) -> None:
+    """ValidationError unless the index values are all ints or all ordinals."""
+    if len({isinstance(v, int) for v in values}) > 1:
+        raise ValidationError("indices must be all integers or all ordinals, not a mix")
 
 
 def index_to_json(value):

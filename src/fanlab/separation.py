@@ -25,6 +25,7 @@ closed forms must agree with it, witness for witness.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .cdw import HFamily
@@ -149,13 +150,12 @@ def min_sum_labeling(h: HFamily, A, exact_limit: int = MIN_SUM_EXACT_LIMIT) -> M
     if len(A) > exact_limit:
         return MinSumResult(dict(zip(A, greedy)), sum(greedy), False)
 
-    # Labels above this never help: the pair is already clear of the set.
-    safe_cap = [0] * len(A)
     outgoing = [[] for _ in A]
     for i, j, cdw in table:
-        safe_cap[i] = max(safe_cap[i], cdw.max_n() + 1)
-        safe_cap[j] = max(safe_cap[j], cdw.max_m() + 1)
         outgoing[i].append((j, cdw))
+    # Above its floor, a label lowers later floors only where it passes a
+    # staircase corner of one of its pairs, so only those values are tried.
+    corners = [sorted({n + 1 for _, cdw in out for n, _ in cdw.staircase}) for out in outgoing]
 
     best_values = list(greedy)
     best_total = sum(greedy)
@@ -169,7 +169,7 @@ def min_sum_labeling(h: HFamily, A, exact_limit: int = MIN_SUM_EXACT_LIMIT) -> M
                 best_total, best_values = partial, values[:]
             return
         lb = floors[j]
-        for v in range(lb, max(lb, safe_cap[j]) + 1):
+        for v in itertools.chain((lb,), corners[j][bisect_right(corners[j], lb) :]):
             if partial + v >= best_total:
                 break
             values[j] = v

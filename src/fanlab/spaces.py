@@ -16,9 +16,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cdw import HFamily, SpaceData, downward_close
-from .errors import ValidationError
+from .errors import GuardExceeded, ValidationError
 from .ordinals import index_from_json, index_to_json
 from .separation import solve_separation
+
+# The most isolated points build_space materializes.
+MAX_SPACE_POINTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -61,14 +64,18 @@ class CombSpace:
 
 
 def build_space(h: HFamily, A=None) -> CombSpace:
-    """Materialize the space of a family over A (default: all its indices)."""
+    """Materialize the space of a family over A (default: all its indices).
+
+    The isolated points are counted first, and more than MAX_SPACE_POINTS
+    raise GuardExceeded before any is built.
+    """
     A = tuple(sorted(h.indices if A is None else set(A)))
-    isolated = []
-    for i, a in enumerate(A):
-        for b in A[i + 1 :]:
-            for n, m in h.get(a, b).points():
-                isolated.append(((a, n), (b, m)))
-    return CombSpace(A, tuple(isolated))
+    sets = [(a, b, h.get(a, b)) for i, a in enumerate(A) for b in A[i + 1 :]]
+    size = sum(len(s) for _, _, s in sets)
+    if size > MAX_SPACE_POINTS:
+        raise GuardExceeded(f"the space has {size} isolated points, more than {MAX_SPACE_POINTS}")
+    isolated = tuple(((a, n), (b, m)) for a, b, s in sets for n, m in s.points())
+    return CombSpace(A, isolated)
 
 
 def space_separation_check(space: CombSpace, A, f: dict) -> bool:

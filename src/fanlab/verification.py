@@ -175,11 +175,12 @@ def check_walks(seed: int, cases: int = 10_000) -> CheckReport:
     rng = random.Random(seed)
     report = CheckReport("walk termination, recursion identity, positivity", cases)
     cs = CSequence(LadderSystem.canonical())
-    fresh = CSequence(LadderSystem.canonical())
-    for i in range(cases):
+    for _ in range(cases):
         x, y = random_ordinal(rng, W_OMEGA), random_ordinal(rng, W_OMEGA)
         alpha, beta = (x, y) if x <= y else (y, x)
         trace = cs.walk(alpha, beta)
+        if cs.rho2(alpha, beta) != trace.step_count:
+            report.failures.append(f"rho2 differs from the walk: {alpha} to {beta}")
         if trace.step_count >= 10_000:
             report.failures.append(f"walk too long: {alpha} to {beta}")
         if alpha == beta:
@@ -191,8 +192,6 @@ def check_walks(seed: int, cases: int = 10_000) -> CheckReport:
         mid = cs.step(alpha, beta)
         if cs.rho2(alpha, beta) != cs.rho2(alpha, mid) + 1:
             report.failures.append(f"recursion identity: {alpha}, {beta}")
-        if i % 100 == 0 and fresh.walk(alpha, beta) != trace:
-            report.failures.append(f"determinism: {alpha}, {beta}")
     return report
 
 

@@ -14,7 +14,6 @@ from .errors import DomainError
 from .ordinals import LadderSystem, Ordinal
 
 _MAX_WALK_STEPS = 100_000
-_CACHE_LIMIT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -29,11 +28,10 @@ class WalkTrace:
 
 
 class CSequence:
-    """C-sequence over a ladder system, with a memoized walk evaluator."""
+    """C-sequence over a ladder system, with walks and rho2."""
 
     def __init__(self, ladders: LadderSystem):
         self.ladders = ladders
-        self._cache: dict[tuple[Ordinal, Ordinal], WalkTrace] = {}
 
     def step(self, alpha: Ordinal, beta: Ordinal) -> Ordinal:
         """min(C_beta \\ alpha): the least element of C_beta that is >= alpha."""
@@ -45,12 +43,13 @@ class CSequence:
         return self.ladders.value(beta, n)
 
     def walk(self, alpha: Ordinal, beta: Ordinal) -> WalkTrace:
+        """The walk from beta down to alpha with every step listed.
+
+        The trace is held in memory, so past _MAX_WALK_STEPS steps it raises
+        DomainError to bound that memory; rho2 counts any walk.
+        """
         if alpha > beta:
             raise DomainError(f"walk needs alpha <= beta, got {alpha} > {beta}")
-        key = (alpha, beta)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         steps = [beta]
         current = beta
         while current > alpha:
@@ -58,12 +57,27 @@ class CSequence:
             steps.append(current)
             if len(steps) > _MAX_WALK_STEPS:
                 raise DomainError(f"walk from {beta} to {alpha} exceeded step guard")
-        trace = WalkTrace(tuple(steps))
-        if len(self._cache) >= _CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[key] = trace
-        return trace
+        return WalkTrace(tuple(steps))
 
     def rho2(self, alpha: Ordinal, beta: Ordinal) -> int:
-        """Number of walk steps from beta down to alpha; 0 when equal."""
-        return self.walk(alpha, beta).step_count
+        """Number of walk steps from beta down to alpha; 0 when equal.
+
+        From head + c, c finite, the walk goes down by ones to alpha = head + a
+        (c - a steps) or to head (c steps), so only limit steps call step.
+        """
+        if alpha > beta:
+            raise DomainError(f"walk needs alpha <= beta, got {alpha} > {beta}")
+        count = 0
+        current = beta
+        while current > alpha:
+            if current.is_limit:
+                current = self.step(alpha, current)
+                count += 1
+                continue
+            c = current.terms[-1][1]
+            head = Ordinal(current.terms[:-1])
+            if alpha >= head:
+                return count + c - (alpha.terms[-1][1] if alpha > head else 0)
+            current = head
+            count += c
+        return count

@@ -81,6 +81,20 @@ class TestEval:
             b = parse_ordinal(doc["indices"][j])
             assert family.value(a, b) == value
 
+    def test_long_successor_walk(self, capsys, walk_family):
+        code, out = run(capsys, "eval", "--family", str(walk_family), "--indices", "w,w+200000")
+        assert code == 0
+        assert json.loads(out)["values"] == [[0, 1, 200000]]
+
+    @pytest.mark.parametrize(
+        "flags", [["--indices", "3,w"], ["--indices", "w,3"], ["--alpha", "1", "--beta", "w+5"]]
+    )
+    def test_mixed_int_and_ordinal_indices_exit_5(self, tmp_path, capsys, flags):
+        family = tmp_path / "fam.json"
+        family.write_text(json.dumps(FuncFamily.explicit({(0, 1): 3}).to_json()))
+        code = main(["eval", "--family", str(family), *flags])
+        err = capsys.readouterr().err
+        assert code == 5 and "not a mix" in err
 
     @pytest.mark.parametrize(
         "data, problem",
@@ -129,6 +143,30 @@ class TestIndexSpecs:
         err = capsys.readouterr().err
         assert code == 5
         assert err.startswith("error:") and spec in err and "Traceback" not in err
+
+
+class TestCountBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--indices", "first:{}"],
+            ["eval", "--indices", "random:{}"],
+            ["growth", "--schedule", "first:2..{}"],
+            ["bound", "--gamma", "w*2", "--points", "{}"],
+            ["bound", "--gamma", "w*2", "--prefix-depth", "{}"],
+            ["bound", "--gamma", "w*2", "--probe", "{}"],
+            ["bound", "--avoid", "w", "--club", "first:{}"],
+        ],
+    )
+    def test_counts_beyond_the_budget_exit_3(self, capsys, monkeypatch, tmp_path, argv):
+        family = tmp_path / "lad.json"
+        assert main(["gen", "--kind", "ladder", "--bound", "w^(2)", "--out", str(family)]) == 0
+        monkeypatch.setattr(cli, "MAX_ASKED", 8)
+        command, *flags = argv
+        for count in (8, 9, 10**13):
+            code = main([command, "--family", str(family), *(f.format(count) for f in flags)])
+            err = capsys.readouterr().err
+            assert (code == 3) == (count > 8), err
 
 
 class TestHset:
@@ -180,6 +218,11 @@ class TestHset:
                 "entries": [[0, 5, [[0, 0]]]],
             },
             {"indices": [0, 1], "kind": "explicit", "entries": [[0, 1, [[0, math.inf]]]]},
+            {"indices": [0, 1], "kind": "explicit", "entries": [[0, 1, [[2.7, 1]]]]},
+            {"indices": [0, 1], "kind": "explicit", "entries": [[0, 1, [[2, True]]]]},
+            {"indices": [0, 1], "kind": "explicit", "entries": [[0, 1, [["3", 1]]]]},
+            {"indices": [0, 1], "kind": "explicit", "entries": [[0, 1, [[1, math.nan]]]]},
+            {"indices": [0, 1], "kind": "explicit", "entries": [[0, 1, [[2.0, 1]]]]},
         ],
     )
     def test_malformed_structure_exits_5(self, tmp_path, capsys, data):
@@ -190,6 +233,14 @@ class TestHset:
             err = capsys.readouterr().err
             assert code == 5
             assert err.startswith("error:") and "Traceback" not in err
+
+    def test_threshold_beyond_the_bound_exits_3(self, capsys, walk_family):
+        from fanlab.cdw import MAX_THRESHOLD
+
+        for n, expected in ((MAX_THRESHOLD, 0), (MAX_THRESHOLD + 1, 3)):
+            code = main(["hset", "--family", str(walk_family), "--indices", f"w,w+{n}"])
+            capsys.readouterr()
+            assert code == expected
 
     def test_mixed_int_and_ordinal_indices_exit_5(self, tmp_path, capsys):
         bad = tmp_path / "mixed.json"
@@ -260,6 +311,16 @@ class TestMincap:
         monkeypatch.setattr(FuncFamily, "value", evaluated)
         code, out = run(capsys, "mincap", "--hset", str(hset))
         assert (code, out) == (0, expected)
+
+    def test_huge_square_staircase_returns_at_once(self, tmp_path, capsys):
+        n = 10**12
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"indices": [0, 1, 2], "entries": [[0, 2, [[n, n]]]]}))
+        start = time.perf_counter()
+        code, out = run(capsys, "mincap", "--hset", str(huge))
+        assert time.perf_counter() - start < 5
+        doc = json.loads(out)
+        assert code == 0 and (doc["min_cap"], doc["min_sum"]) == (n + 1, n + 1)
 
 
 class TestAdversary:
@@ -371,6 +432,15 @@ class TestSpaceCommand:
         assert code == 0
         assert dot.startswith("graph space {")
 
+    def test_oversized_space_exits_3_at_once(self, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"indices": [0, 1], "entries": [[0, 1, [[10**12, 0]]]]}))
+        start = time.perf_counter()
+        code = main(["space", "--hset", str(huge)])
+        err = capsys.readouterr().err
+        assert code == 3 and "isolated points" in err
+        assert time.perf_counter() - start < 5
+
 
 class TestGrowth:
     def test_csv_table(self, capsys, walk_family):
@@ -441,28 +511,33 @@ class TestConfigFile:
 
 
 # Random JSON for the input files, with the literals and keys the readers look
-# for, so that some files get past the first checks.  Numbers stay below 10:
-# `space` enumerates every point of every staircase, and nothing yet bounds
-# how many there are (ROADMAP item 6).
-_KEYS = st.sampled_from(["indices", "kind", "entries", "family", "bound", "isolated"])
+# for, so that some files get past the first checks.  Numbers reach 10^13: a
+# file may ask for any amount of work, and the budgets turn too much into exit
+# 3 (a space of more than MAX_SPACE_POINTS points, a count above MAX_ASKED).
+_KEYS = st.sampled_from([
+    "indices", "kind", "entries", "family", "bound", "isolated", "ladders", "seed", "table",
+    "default", "labels",
+])
 _NUMBER = (
-    st.integers(-2, 9) | st.floats(-10, 10) | st.booleans()
+    st.integers(-2, 10**13) | st.floats(-10, 10) | st.booleans()
     | st.sampled_from([math.inf, -math.inf, math.nan])
 )
-_LEAVES = _NUMBER | st.none() | st.sampled_from(
-    ["w", "w*2", "w^(2)", "w+1", "3", "x", "", "explicit", "sum_threshold"]
+_LITERAL = st.sampled_from(["w", "w*2", "w^(2)", "w^(w)", "w+1", "3", "x", ""])
+_LEAVES = _NUMBER | st.none() | _LITERAL | st.sampled_from(
+    ["explicit", "sum_threshold", "walk", "ladder", "canonical", "seeded"]
 )
 _JSON = st.recursive(
     _LEAVES,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
     max_leaves=24,
 )
+_INDICES = (
+    st.lists(st.integers(-1, 5), max_size=5, unique=True)
+    | st.lists(st.sampled_from(["w", "w*2", "w^(2)", "w+1", "x", 1]), max_size=4) | _JSON
+)
 _POINT = st.tuples(_NUMBER, _NUMBER).map(list) | st.lists(_LEAVES, max_size=3)
 _ENTRY = st.tuples(st.integers(-1, 3), st.integers(0, 4), st.lists(_POINT, max_size=3)).map(list)
-_HSET_LIKE = st.fixed_dictionaries({
-    "indices": st.lists(st.integers(-1, 5), max_size=5, unique=True)
-    | st.lists(st.sampled_from(["w", "w*2", "w^(2)", "w+1", "x", 1]), max_size=4) | _JSON,
-}, optional={
+_HSET_LIKE = st.fixed_dictionaries({"indices": _INDICES}, optional={
     "kind": st.sampled_from(["explicit", "sum_threshold", "from_space"]) | _LEAVES,
     "entries": st.lists(_ENTRY, max_size=3) | _JSON,
     "family": _JSON,
@@ -471,7 +546,98 @@ _HSET_LIKE = st.fixed_dictionaries({
 _ONE_ENTRY = st.lists(_POINT, max_size=3).map(
     lambda points: {"indices": [0, 1, 2], "entries": [[0, 2, points]]}
 )
+
+
+def _often(valid, other=_LEAVES) -> st.SearchStrategy:
+    """Draws from valid in about half the examples and from other in the rest."""
+    return st.booleans().flatmap(lambda ok: valid if ok else other)
+
+
+def _one_field_off(bases: list, fields: dict) -> st.SearchStrategy:
+    """One of the well-formed bases with one field set from its strategy in fields."""
+    field = st.sampled_from(sorted(fields)).flatmap(
+        lambda key: fields[key].map(lambda value: {key: value})
+    )
+    return st.tuples(st.sampled_from(bases), field).map(lambda t: {**t[0], **t[1]})
+
+
+_LADDERS_LIKE = _one_field_off(
+    [
+        {"kind": "canonical"},
+        {"kind": "seeded", "seed": 3},
+        {"kind": "explicit", "table": {"w": ["1", "5"]}},
+    ],
+    {
+        "kind": _often(st.sampled_from(["canonical", "seeded", "explicit"])),
+        "seed": _NUMBER,
+        "table": st.dictionaries(_LITERAL, st.lists(_LITERAL | _LEAVES, max_size=4), max_size=2)
+        | _JSON,
+    },
+)
+_FAMILY_LIKE = _one_field_off(
+    [
+        {"kind": "walk", "bound": "w^(2)", "ladders": {"kind": "canonical"}},
+        {"kind": "ladder", "bound": "w^(3)", "ladders": {"kind": "seeded", "seed": 5}},
+        {"kind": "explicit", "bound": None, "indices": [0, 1, 2], "table": [[0, 1, 3]]},
+    ],
+    {
+        "kind": _often(st.sampled_from(["walk", "ladder", "explicit"])),
+        "bound": _LITERAL | st.sampled_from(["w^(3)", "w^(w^(2))", "w*3+2"]) | _LEAVES,
+        "ladders": _LADDERS_LIKE | _JSON,
+        "indices": _INDICES,
+        "table": st.lists(
+            st.tuples(st.integers(-1, 3), st.integers(-1, 3), _NUMBER).map(list) | _JSON,
+            max_size=4,
+        ) | _JSON,
+        "default": _often(st.integers(-2, 10**13)),
+    },
+)
+# Labels of w, w*2 and w*3, the sets the adversary fuzz runs with.
+_LABELS_LIKE = st.tuples(*[_often(st.integers(-2, 10**13))] * 3).map(
+    lambda values: {"labels": [list(pair) for pair in zip(["w", "w*2", "w*3"], values)]}
+)
+# Settings of every type for every key; index specs from a fixed list, since
+# any count up to MAX_ASKED is honoured and `eval first:4000` evaluates some
+# eight million pairs.
+_SPEC = st.sampled_from([
+    "first:3", "random:4", "w,w*2", "1,2", "w*3", "first:x", "random:-1", "first:2..4",
+    "random:2..3", "first:10000000000000", "random:10000000000000", "first:2..10000000000000",
+]) | _LEAVES | st.lists(_LEAVES, max_size=3)
+_SETTING_KEYS = st.sampled_from([
+    "out", "seed", "table", "indices", "format", "subset", "schedule", "ladders", "labels",
+    "kind", "hset", "family", "engine", "depth_k", "const", "cap", "bound", "first", "second",
+])
+_SETTING = _SPEC | st.sampled_from(
+    ["json", "dot", "csv", "oracle", "solver", "walk", "ladder", "explicit", "seeded"]
+)
+# Settings on which every command of the config fuzz succeeds, then up to three
+# random ones.
+_GOOD_CONFIG = {
+    "indices": "first:3", "first": "w", "second": "w*2,w*3", "bound": "w^(2)", "cap": 2,
+    "schedule": "first:2..4",
+}
+_CONFIG_LIKE = st.dictionaries(_SETTING_KEYS, _SETTING, max_size=3).map(
+    lambda settings: {**_GOOD_CONFIG, **settings}
+) | _JSON
 _DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 5, 10}
+
+
+def _ends_in_documented_exit(argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([str(a) for a in argv]) in _DOCUMENTED_EXITS, argv
+
+
+@pytest.fixture(scope="class")
+def fuzz_inputs(tmp_path_factory):
+    """A walk family over w^(2) and its hset over w, w*2, w*3."""
+    root = tmp_path_factory.mktemp("fuzz-inputs")
+    walk, hset = root / "walk.json", root / "h.json"
+    for argv in (
+        ["gen", "--kind", "walk", "--bound", "w^(2)", "--out", walk],
+        ["hset", "--family", walk, "--indices", "first:3", "--out", hset],
+    ):
+        assert main([str(a) for a in argv]) == 0
+    return walk, hset
 
 
 class TestInputFuzz:
@@ -483,11 +649,47 @@ class TestInputFuzz:
         for command, flag in (
             ("hset", "--table"), ("space", "--hset"), ("mincap", "--hset"), ("separate", "--hset"),
         ):
-            with (
-                contextlib.redirect_stdout(io.StringIO()),
-                contextlib.redirect_stderr(io.StringIO()),
+            _ends_in_documented_exit([command, flag, path])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON | _FAMILY_LIKE)
+    def test_any_family_file_ends_in_a_documented_exit(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "family.json"
+        path.write_text(json.dumps(data))
+        for extra in (
+            ["--indices", "first:3"], ["--indices", "3,w"], ["--alpha", "1", "--beta", "w+5"],
+        ):
+            _ends_in_documented_exit(["eval", "--family", path, *extra])
+        for extra in (["--gamma", "w*2"], ["--avoid", "w,w*3"]):
+            _ends_in_documented_exit(["bound", "--family", path, "--points", "3", *extra])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_JSON | _LABELS_LIKE)
+    def test_any_labels_file_ends_in_a_documented_exit(self, tmp_path_factory, fuzz_inputs, data):
+        path = tmp_path_factory.mktemp("fuzz") / "labels.json"
+        path.write_text(json.dumps(data))
+        _ends_in_documented_exit([
+            "adversary", "--hset", fuzz_inputs[1], "--first", "w", "--second", "w*2,w*3",
+            "--labels", path,
+        ])
+
+    # `bound` is left out: below MAX_ASKED its points, prefix_depth and probe
+    # still ask for work that grows with the square of their values.
+    @settings(max_examples=100, deadline=None)
+    @given(_CONFIG_LIKE)
+    def test_any_config_file_ends_in_a_documented_exit(self, tmp_path_factory, fuzz_inputs, data):
+        walk, hset = fuzz_inputs
+        root = tmp_path_factory.mktemp("fuzz")
+        path = root / "config.json"
+        path.write_text(json.dumps(data))
+        with contextlib.chdir(root):  # an "out" setting writes here
+            for argv in (
+                ["gen"], ["eval", "--family", walk], ["hset", "--family", walk],
+                ["growth", "--family", walk], ["separate", "--hset", hset],
+                ["mincap", "--hset", hset], ["space", "--hset", hset],
+                ["adversary", "--hset", hset],
             ):
-                assert main([command, flag, str(path)]) in _DOCUMENTED_EXITS
+                _ends_in_documented_exit([*argv, "--config", path])
 
 
 class TestParserCache:

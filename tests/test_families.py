@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fanlab import (
     OMEGA,
@@ -27,7 +29,8 @@ from fanlab import (
     weak_bound_avoiding,
     weak_bound_below,
 )
-from fanlab.families import SampleClosure, _BoundEngine
+from fanlab.families import SampleClosure, _BoundEngine, _first_above, _last_below
+from conftest import ordinals
 
 o = Ordinal.from_int
 W2, W3 = parse_ordinal("w^(2)"), parse_ordinal("w^(3)")
@@ -105,6 +108,7 @@ class TestEval:
             ({"kind": "explicit", "indices": [0, 1], "table": [[0, 5, 1]]}, "bad table row"),
             ({"kind": "explicit", "indices": [0, 1], "table": [[0, 1, "2"]]}, "bad table row"),
             ({"kind": "explicit", "indices": [0, 1], "default": "0"}, "'default'"),
+            ({"kind": "explicit", "indices": [0, "w"], "table": [[0, 1, 2]]}, "not a mix"),
         ],
     )
     def test_from_json_rejects_malformed_structure(self, data, problem):
@@ -195,6 +199,15 @@ class TestClosures:
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W3)
         with pytest.raises(ClosureError):
             close_avoiding(family, {w3}, (o(1), o(2)), {o(1)})
+
+
+class TestClubLookups:
+    @given(st.lists(ordinals(), max_size=12), st.lists(ordinals(), min_size=1, max_size=4))
+    def test_bisection_equals_a_linear_scan(self, values, probes):
+        club = tuple(sorted(set(values)))
+        for x in probes + list(club):
+            assert _first_above(club, x) == next((v for v in club if v > x), None)
+            assert _last_below(club, x) == max((v for v in club if v < x), default=None)
 
 
 class TestWeakBoundBelow:

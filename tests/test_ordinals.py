@@ -25,6 +25,17 @@ from conftest import ordinals
 o = Ordinal.from_int
 
 
+def _recursive_compare(a: Ordinal, b: Ordinal) -> int:
+    """Reference order: Cantor normal forms compared term by term, recursively."""
+    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
+        c = _recursive_compare(e1, e2)
+        if c:
+            return c
+        if c1 != c2:
+            return -1 if c1 < c2 else 1
+    return (len(a.terms) > len(b.terms)) - (len(a.terms) < len(b.terms))
+
+
 class TestLiterals:
     def test_canonical_printing_drops_unit_coefficients(self):
         assert str(parse_ordinal("w^(2)*3+w*1+5")) == "w^(2)*3+w+5"
@@ -58,6 +69,17 @@ class TestOrder:
         assert OMEGA.compare(OMEGA) == 0
         assert parse_ordinal("w^(2)").compare(parse_ordinal("w*5+3")) == 1
         assert parse_ordinal("w+1").compare(parse_ordinal("w*2")) == -1
+
+    @given(ordinals(3), ordinals(3))
+    def test_key_order_agrees_with_recursive_compare(self, a, b):
+        for x, y in ((a, b), (a, parse_ordinal(str(a)))):
+            ref = _recursive_compare(x, y)
+            assert x.compare(y) == ref
+            assert (x < y, x <= y, x == y, x != y, x >= y, x > y) == (
+                ref < 0, ref <= 0, ref == 0, ref != 0, ref >= 0, ref > 0
+            )
+            if ref == 0:
+                assert hash(x) == hash(y)
 
     @given(ordinals(), ordinals(), ordinals())
     def test_total_order(self, a, b, c):

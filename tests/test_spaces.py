@@ -9,6 +9,7 @@ from fanlab import (
     CdwSet,
     CombSpace,
     FuncFamily,
+    GuardExceeded,
     OrdinalParseError,
     ValidationError,
     build_space,
@@ -24,6 +25,7 @@ from fanlab import (
     sum_threshold_family,
     tabulate_intersections,
 )
+from fanlab import spaces
 from fanlab.verification import random_hfamily, random_labeling
 
 
@@ -65,6 +67,14 @@ class TestBuildSpace:
         family = FuncFamily.explicit({(0, 1): 2})
         space = build_space(sum_threshold_family(family, [0, 1]))
         assert len(space.isolated) == 6
+
+    def test_point_budget(self, monkeypatch):
+        h = sum_threshold_family(FuncFamily.explicit({(0, 1): 2}), [0, 1])
+        monkeypatch.setattr(spaces, "MAX_SPACE_POINTS", 6)
+        assert len(build_space(h).isolated) == 6
+        monkeypatch.setattr(spaces, "MAX_SPACE_POINTS", 5)
+        with pytest.raises(GuardExceeded, match="6 isolated points"):
+            build_space(h)
 
     def test_neighborhoods_decrease(self):
         rng = random.Random(30)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanlab import (
     OMEGA,
@@ -61,6 +63,8 @@ class TestWalk:
     def test_rejects_bad_order(self, cs):
         with pytest.raises(DomainError):
             cs.walk(W2, OMEGA)
+        with pytest.raises(DomainError):
+            cs.rho2(W2, OMEGA)
 
     def test_trace_shape(self, cs):
         rng = random.Random(1)
@@ -94,10 +98,6 @@ class TestWalk:
             alpha, beta = (x, y) if x <= y else (y, x)
             assert first.walk(alpha, beta) == second.walk(alpha, beta)
 
-    def test_memo_returns_equal_traces(self, cs):
-        a, b = OMEGA, parse_ordinal("w^(2)+w*3+7")
-        assert cs.walk(a, b) is cs.walk(a, b)
-
     def test_seeded_ladders_also_walk(self):
         cs = CSequence(LadderSystem.seeded(11))
         rng = random.Random(4)
@@ -107,3 +107,32 @@ class TestWalk:
             alpha, beta = (x, y) if x <= y else (y, x)
             trace = cs.walk(alpha, beta).steps
             assert trace[0] == beta and trace[-1] == alpha
+
+
+@st.composite
+def walk_cases(draw):
+    """A ladder system and a pair alpha <= beta, often with a long successor tail."""
+    seed = draw(st.sampled_from([None, 3, 11, 29]))
+    ladders = LadderSystem.canonical() if seed is None else LadderSystem.seeded(seed)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bound = parse_ordinal(draw(st.sampled_from(["w^(3)", "w^(w)", "w^(w^(2))+w*3"])))
+    x = random_ordinal(rng, bound) + draw(st.integers(0, 60))
+    y = random_ordinal(rng, bound) + draw(st.integers(0, 60))
+    return CSequence(ladders), min(x, y), max(x, y)
+
+
+class TestRho2:
+    @settings(max_examples=300, deadline=None)
+    @given(walk_cases())
+    def test_counts_the_steps_of_the_walk(self, case):
+        cs, alpha, beta = case
+        assert cs.rho2(alpha, beta) == cs.walk(alpha, beta).step_count
+
+    @pytest.mark.parametrize("n", [1, 200_000, 10**9])
+    def test_long_successor_walks_are_counted(self, cs, n):
+        assert cs.rho2(OMEGA, OMEGA + n) == n
+        assert cs.rho2(o(3), W2 + n) == n + 2
+
+    def test_walk_trace_stays_guarded(self, cs):
+        with pytest.raises(DomainError, match="step guard"):
+            cs.walk(OMEGA, OMEGA + 200_000)
