@@ -57,7 +57,6 @@ from .separation import (
     check_separation,
     exists_separation_capped,
     is_separation,
-    largest_separable_subset,
     min_cap,
     min_sum_labeling,
     solve_separation,

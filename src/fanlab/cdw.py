@@ -80,12 +80,16 @@ class CdwSet:
                     yield (col, row)
             prev_n = n
 
-    def __len__(self) -> int:
+    def size(self) -> int:
+        """The number of members; unlike len(), it may exceed sys.maxsize."""
         total, prev_n = 0, -1
         for n, m in self.staircase:
             total += (n - prev_n) * (m + 1)
             prev_n = n
         return total
+
+    def __len__(self) -> int:
+        return self.size()
 
 
 EMPTY_CDW = CdwSet(())

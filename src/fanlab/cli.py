@@ -424,7 +424,9 @@ def cmd_bound(args, config) -> int:
         else:
             ladders = family.ladders or LadderSystem.canonical()
             top = ladders.first_index_at_least(family.bound, max(points | avoid) + 1)
-            club = tuple(ladders.value(family.bound, n) + 1 for n in range(top + 2))
+            club = tuple(
+                ladders.value(family.bound, n) + 1 for n in range(_asked(top + 2, "club"))
+            )
         sample = close_avoiding(family, avoid, club, points, prefix_depth=depth)
         bound = weak_bound_avoiding(family, avoid, club, sample)
         mode = {

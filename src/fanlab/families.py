@@ -10,9 +10,14 @@ g weakly bounds h with witness n when g(x) + n > h(x) on the common domain.
 The module constructs, for a limit gamma, a function g bounding every
 h_beta with beta < gamma by the club recursion (pointwise max at successor
 stages, jump to the next club point at limit stages), plus the variant that
-bounds {h_beta : beta in A} using a club disjoint from A.  Witnesses are
-the structural k + m + 1 values for ladder families and sample-evaluated
-maxima otherwise; both are checked exhaustively on the certification sample.
+bounds {h_beta : beta in A} using a club disjoint from A.  Both are one
+recursion with two sources of clubs: the ladder of gamma shifted by one
+(_BoundEngine.club_split) or an explicit club (_club_split).  Each splits a
+limit into the last club point below it and the first above it; samples are
+closed under that split, and a limit stage's witness is
+escape(beta, lower) + 1 + witness(upper, beta).  Witnesses are these
+structural values for ladder families and sample-evaluated maxima
+otherwise; both are checked exhaustively on the certification sample.
 """
 
 from __future__ import annotations
@@ -206,7 +211,10 @@ class SampleClosure:
         return sorted(self.points)
 
 
-def _close(points, expand) -> frozenset:
+def _close(family: FuncFamily, points, prefix_depth: int, club_split) -> frozenset:
+    """Close points under ladder prefixes and, at each limit x, under the club
+    points club_split(x) gives on either side of x."""
+    ladders = _club_ladders(family)
     closed = set()
     queue = list(points)
     while queue:
@@ -214,14 +222,13 @@ def _close(points, expand) -> frozenset:
         if x in closed:
             continue
         closed.add(x)
-        queue.extend(expand(x))
+        if x.is_limit:
+            queue.extend(ladders.value(x, i) for i in range(prefix_depth))
+            lower, upper = club_split(x)
+            queue.append(upper)
+            if lower is not None:
+                queue.append(lower)
     return frozenset(closed)
-
-
-def _prefix_points(ladders, x, depth):
-    if not x.is_limit:
-        return []
-    return [ladders.value(x, i) for i in range(depth)]
 
 
 def close_below(
@@ -233,19 +240,8 @@ def close_below(
     for x in points:
         if not x < gamma:
             raise DomainError(f"sample point {x} is not below {gamma}")
-    ladders = _club_ladders(family)
     engine = _BoundEngine(family)
-
-    def expand(x):
-        extra = _prefix_points(ladders, x, prefix_depth)
-        if x.is_limit:
-            lower, upper = engine.club_split(gamma, x)
-            extra.append(upper)
-            if lower is not None:
-                extra.append(lower)
-        return extra
-
-    closed = _close(points, expand)
+    closed = _close(family, points, prefix_depth, lambda x: engine.club_split(gamma, x))
     return SampleClosure(closed, ("below", gamma, prefix_depth))
 
 
@@ -253,27 +249,9 @@ def close_avoiding(
     family: FuncFamily, avoid, club, points, prefix_depth: int = 4
 ) -> SampleClosure:
     """Close a point set under ladder prefixes and jumps through an explicit club."""
-    club = tuple(sorted(set(club)))
     avoid = frozenset(avoid)
-    if avoid & set(club):
-        raise ClosureError("the club must avoid the given set")
-    ladders = _club_ladders(family)
-
-    def expand(x):
-        extra = _prefix_points(ladders, x, prefix_depth)
-        if x.is_limit:
-            above = _first_above(club, x)
-            if above is None:
-                raise ClosureError(f"the club has no element above {x}")
-            if above.is_limit and _first_above(club, above) is None:
-                raise ClosureError(f"club top {above} is a limit with nothing above it")
-            extra.append(above)
-            below = _last_below(club, x)
-            if below is not None:
-                extra.append(below)
-        return extra
-
-    closed = _close(set(points) | avoid, expand)
+    club = _explicit_club(club, avoid)
+    closed = _close(family, set(points) | avoid, prefix_depth, lambda x: _club_split(club, x))
     return SampleClosure(closed, ("avoiding", tuple(sorted(avoid)), club, prefix_depth))
 
 
@@ -289,14 +267,25 @@ def is_closed(family: FuncFamily, closure: SampleClosure) -> bool:
     return again.points == closure.points
 
 
-def _first_above(sorted_values: tuple, x) -> Ordinal | None:
-    i = bisect.bisect_right(sorted_values, x)
-    return sorted_values[i] if i < len(sorted_values) else None
+def _explicit_club(club, avoid) -> tuple:
+    """The club as a sorted tuple; ClosureError unless it avoids the set."""
+    club = tuple(sorted(set(club)))
+    if set(avoid) & set(club):
+        raise ClosureError("the club must avoid the given set")
+    return club
 
 
-def _last_below(sorted_values: tuple, x) -> Ordinal | None:
-    i = bisect.bisect_left(sorted_values, x)
-    return sorted_values[i - 1] if i else None
+def _club_split(club: tuple, x: Ordinal):
+    """(last point of a sorted club below x or None, first one above).
+
+    The explicit club's counterpart of _BoundEngine.club_split; ClosureError
+    when no club point lies above x.
+    """
+    i = bisect.bisect_right(club, x)
+    if i == len(club):
+        raise ClosureError(f"the club has no element above {x}")
+    j = bisect.bisect_left(club, x, 0, i)
+    return (club[j - 1] if j else None), club[i]
 
 
 # -- the weak-bound recursion -----------------------------------------------
@@ -328,6 +317,10 @@ class _BoundEngine:
         upper = self.ladders.value(gamma, n) + 1
         lower = self.ladders.value(gamma, n - 1) + 1 if n else None
         return lower, upper
+
+    def escape(self, beta: Ordinal, lower) -> int:
+        """Least k with ladder(beta, k) above the club point lower; 0 for None."""
+        return 0 if lower is None else self.ladders.first_index_at_least(beta, lower + 1)
 
     def g(self, gamma: Ordinal, x: Ordinal) -> int:
         if not x < gamma:
@@ -390,21 +383,13 @@ class _BoundEngine:
                 gamma = xi
             else:
                 lower, upper = self.club_split(gamma, beta)
-                k = 0 if lower is None else self.ladders.first_index_at_least(beta, lower + 1)
-                chain.append((key, k + 1))
+                chain.append((key, self.escape(beta, lower) + 1))
                 gamma = upper
         self._witnesses[key] = value
         for key, offset in reversed(chain):
             value += offset
             self._witnesses[key] = value
         return value
-
-    def empirical_witness_against(self, g, beta, sample) -> int:
-        best = 0
-        for x in sample:
-            if x < beta:
-                best = max(best, self.family.value(x, beta) - g(x))
-        return max(1, best + 1)
 
 
 class WeakBound:
@@ -420,10 +405,10 @@ class WeakBound:
             return self._engine.g(self.gamma, x)
         if not x.is_limit:
             return 1
-        above = _first_above(self.club, x)
-        if above is None:
+        i = bisect.bisect_right(self.club, x)
+        if i == len(self.club):
             raise DomainError(f"the club has no element above {x}")
-        return self._engine.g(above, x)
+        return self._engine.g(self.club[i], x)
 
 
 def bound_function(family: FuncFamily, gamma: Ordinal) -> WeakBound:
@@ -446,52 +431,51 @@ class BoundWitness:
         }
 
 
+def _certify(
+    family: FuncFamily, sample: SampleClosure, g: WeakBound, betas, structural
+) -> BoundWitness:
+    """Witnesses for h_beta against g, for beta in betas: structural(beta) for
+    ladder families, else the least n that works on the sample."""
+    if not is_closed(family, sample):
+        raise ClosureError("the certification sample is not closed")
+    witness = {}
+    for beta in betas:
+        if family.kind == "ladder":
+            witness[beta] = structural(beta)
+        else:
+            excess = [family.value(x, beta) - g(x) for x in sample.points if x < beta]
+            witness[beta] = max([0, *excess]) + 1
+    return BoundWitness(g, witness, sample.points)
+
+
 def weak_bound_below(family: FuncFamily, gamma: Ordinal, sample: SampleClosure) -> BoundWitness:
     """Bound every h_beta with beta < gamma; witnesses certified on the sample."""
     if not gamma.is_limit:
         raise DomainError(f"{gamma} is not a limit ordinal")
-    if not is_closed(family, sample):
-        raise ClosureError("the certification sample is not closed")
     engine = _BoundEngine(family)
-    g = WeakBound(engine, gamma)
-    structural = family.kind == "ladder"
-    witness = {}
-    for beta in sample.sorted():
-        if structural:
-            witness[beta] = engine.witness(gamma, beta)
-        else:
-            witness[beta] = engine.empirical_witness_against(g, beta, sample.points)
-    return BoundWitness(g, witness, sample.points)
+    return _certify(
+        family, sample, WeakBound(engine, gamma), sample.sorted(),
+        lambda beta: engine.witness(gamma, beta),
+    )
 
 
 def weak_bound_avoiding(
     family: FuncFamily, avoid, club, sample: SampleClosure
 ) -> BoundWitness:
     """Bound {h_beta : beta in avoid} through a club disjoint from it."""
-    club = tuple(sorted(set(club)))
     avoid = tuple(sorted(set(avoid)))
-    if set(avoid) & set(club):
-        raise ClosureError("the club must avoid the given set")
+    club = _explicit_club(club, avoid)
     for beta in avoid:
         if not beta.is_limit:
             raise DomainError(f"{beta} is not a limit ordinal")
-    if not is_closed(family, sample):
-        raise ClosureError("the certification sample is not closed")
     engine = _BoundEngine(family)
-    g = WeakBound(engine, None, club)
-    structural = family.kind == "ladder"
-    witness = {}
-    for beta in avoid:
-        if structural:
-            below = _last_below(club, beta)
-            k = 0 if below is None else engine.ladders.first_index_at_least(beta, below + 1)
-            above = _first_above(club, beta)
-            if above is None:
-                raise ClosureError(f"the club has no element above {beta}")
-            witness[beta] = k + engine.witness(above, beta) + 1
-        else:
-            witness[beta] = engine.empirical_witness_against(g, beta, sample.points)
-    return BoundWitness(g, witness, sample.points)
+
+    def limit_stage(beta):
+        # the engine's limit stage, with the split read off the explicit club
+        lower, upper = _club_split(club, beta)
+        return engine.escape(beta, lower) + 1 + engine.witness(upper, beta)
+
+    return _certify(family, sample, WeakBound(engine, None, club), avoid, limit_stage)
 
 
 def verify_witness(bound: BoundWitness, family: FuncFamily, sample=None) -> list[tuple]:

@@ -94,17 +94,31 @@ class Ordinal:
             return NotImplemented
         return self.key == other.key
 
+    # A non-Ordinal operand has no key: NotImplemented lets Python raise
+    # TypeError, at no cost to the compare of two ordinals.
     def __lt__(self, other):
-        return self.key < other.key
+        try:
+            return self.key < other.key
+        except AttributeError:
+            return NotImplemented
 
     def __le__(self, other):
-        return self.key <= other.key
+        try:
+            return self.key <= other.key
+        except AttributeError:
+            return NotImplemented
 
     def __gt__(self, other):
-        return self.key > other.key
+        try:
+            return self.key > other.key
+        except AttributeError:
+            return NotImplemented
 
     def __ge__(self, other):
-        return self.key >= other.key
+        try:
+            return self.key >= other.key
+        except AttributeError:
+            return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
@@ -377,15 +391,15 @@ class LadderSystem:
             return Ordinal.from_int(self._pool[n])
         return canonical_ladder(alpha, shift + (n - p))
 
-    def first_index_at_least(self, alpha: Ordinal, target: Ordinal, limit: int = 1 << 16) -> int:
+    def first_index_at_least(self, alpha: Ordinal, target: Ordinal) -> int:
         """Least n with ladder(alpha, n) >= target, without searching.
 
         Canonical ladders invert the Cantor normal form (_canonical_first).  A
         seeded ladder bisects its prefix of naturals when a natural target
         lies within it, and otherwise shifts the canonical answer past the
-        prefix.  An explicit table is bisected.  DomainError when target >=
-        alpha, when an explicit table has no such entry, or when n >= 2 and
-        the least power of two >= n exceeds limit.
+        prefix.  An explicit table is bisected.  The work does not grow with
+        the answer, so no answer is refused for its size.  DomainError when
+        target >= alpha or when an explicit table has no such entry.
         """
         if not alpha.is_limit:
             raise DomainError(f"{alpha} is not a limit ordinal")
@@ -394,23 +408,17 @@ class LadderSystem:
             n = bisect.bisect_left(values, target)
             if n == len(values):
                 raise DomainError(f"explicit ladder of {alpha} has no entry {n}")
-        elif target >= alpha:
-            n = None
-        elif self.kind == "canonical":
-            n = _canonical_first(alpha, target)
-        else:
-            p, shift = self._prefix(alpha)
-            finite = not target.terms or target.terms[0][0].is_zero
-            t = target.terms[0][1] if target.terms else 0
-            if finite and p and t <= self._pool[p - 1]:
-                n = bisect.bisect_left(self._pool, t, 0, p)
-            else:
-                n = p + max(0, _canonical_first(alpha, target) - shift)
-        if n is None or (n >= 2 and 1 << (n - 1).bit_length() > limit):
-            raise DomainError(
-                f"no ladder entry of {alpha} reaches {target} within {limit} steps"
-            )
-        return n
+            return n
+        if target >= alpha:
+            raise DomainError(f"no ladder entry of {alpha} reaches {target}")
+        if self.kind == "canonical":
+            return _canonical_first(alpha, target)
+        p, shift = self._prefix(alpha)
+        finite = not target.terms or target.terms[0][0].is_zero
+        t = target.terms[0][1] if target.terms else 0
+        if finite and p and t <= self._pool[p - 1]:
+            return bisect.bisect_left(self._pool, t, 0, p)
+        return p + max(0, _canonical_first(alpha, target) - shift)
 
     def to_json(self) -> dict:
         if self.kind == "explicit":

@@ -19,7 +19,9 @@ off one table of the pairs' sets:
   prefix sum plus the later floors bounds every completion from below.
 
 exists_separation_capped is the deliberately naive reference oracle; the
-closed forms must agree with it, witness for witness.
+closed forms must agree with it, witness for witness.  Its size guard
+ENUM_GUARD and min_sum_labeling's exact cutoff MIN_SUM_EXACT_LIMIT are module
+constants, not parameters.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .cdw import HFamily
 from .errors import GuardExceeded
 
 ENUM_GUARD = 10**8
-SUBSET_GUARD = 20
 MIN_SUM_EXACT_LIMIT = 12
 
 
@@ -70,14 +71,15 @@ def is_separation(h: HFamily, A, f: dict) -> bool:
     return check_separation(h, A, f) is None
 
 
-def exists_separation_capped(h: HFamily, A, cap: int, guard: int = ENUM_GUARD) -> SeparationResult:
+def exists_separation_capped(h: HFamily, A, cap: int) -> SeparationResult:
     """Brute-force oracle: try every labeling with values <= cap, in order.
 
     Returns the lexicographically least witness, or blocked when none works.
+    GuardExceeded when there are more than ENUM_GUARD labelings to try.
     """
     A = sorted(A)
-    if (cap + 1) ** len(A) > guard:
-        raise GuardExceeded(f"(cap+1)^|A| = {(cap + 1) ** len(A)} exceeds {guard}")
+    if (cap + 1) ** len(A) > ENUM_GUARD:
+        raise GuardExceeded(f"(cap+1)^|A| = {(cap + 1) ** len(A)} exceeds {ENUM_GUARD}")
     pairs = [(i, j, h.get(A[i], A[j])) for i in range(len(A)) for j in range(i + 1, len(A))]
     for values in itertools.product(range(cap + 1), repeat=len(A)):
         if all((values[i], values[j]) not in cdw for i, j, cdw in pairs):
@@ -139,15 +141,16 @@ def min_cap(h: HFamily, A) -> int:
     )
 
 
-def min_sum_labeling(h: HFamily, A, exact_limit: int = MIN_SUM_EXACT_LIMIT) -> MinSumResult:
+def min_sum_labeling(h: HFamily, A) -> MinSumResult:
     """A separation minimizing the label sum; branch-and-bound when |A| is small.
 
-    Beyond the exact limit the greedy labeling is returned, flagged inexact.
+    Above MIN_SUM_EXACT_LIMIT indices the greedy labeling is returned,
+    flagged inexact.
     """
     A = sorted(A)
     table = _pair_table(h, A)
     greedy = _raise_to_clear(table, [0] * len(A))
-    if len(A) > exact_limit:
+    if len(A) > MIN_SUM_EXACT_LIMIT:
         return MinSumResult(dict(zip(A, greedy)), sum(greedy), False)
 
     outgoing = [[] for _ in A]
@@ -193,33 +196,3 @@ def adversary_two_sets(h: HFamily, A, B, f: dict):
                 return (a, b)
     return None
 
-
-def largest_separable_subset(h: HFamily, A, cap: int, guard: int = SUBSET_GUARD) -> tuple:
-    """A maximum-cardinality subset of A separable at the cap; exact search.
-
-    A set is separable at the cap iff none of its pairs has (cap, cap) in its
-    set, so this is a maximum independent set of that conflict graph.  A branch
-    whose chosen set already conflicts is cut without looking at its extensions.
-    """
-    A = sorted(A)
-    if len(A) > guard:
-        raise GuardExceeded(f"|A| = {len(A)} exceeds the subset-search guard {guard}")
-    if cap < 0:
-        return ()
-    conflicts = {(i, j) for i, j, cdw in _pair_table(h, A) if (cap, cap) in cdw}
-    best: list = []
-
-    def search(i: int, chosen: list):
-        nonlocal best
-        if len(chosen) + (len(A) - i) <= len(best):
-            return
-        if i == len(A):
-            if len(chosen) > len(best):
-                best = chosen[:]
-            return
-        if not any((c, i) in conflicts for c in chosen):
-            search(i + 1, chosen + [i])
-        search(i + 1, chosen)
-
-    search(0, [])
-    return tuple(A[i] for i in best)

@@ -71,7 +71,7 @@ def build_space(h: HFamily, A=None) -> CombSpace:
     """
     A = tuple(sorted(h.indices if A is None else set(A)))
     sets = [(a, b, h.get(a, b)) for i, a in enumerate(A) for b in A[i + 1 :]]
-    size = sum(len(s) for _, _, s in sets)
+    size = sum(s.size() for _, _, s in sets)
     if size > MAX_SPACE_POINTS:
         raise GuardExceeded(f"the space has {size} isolated points, more than {MAX_SPACE_POINTS}")
     isolated = tuple(((a, n), (b, m)) for a, b, s in sets for n, m in s.points())

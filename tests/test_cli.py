@@ -86,6 +86,14 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["values"] == [[0, 1, 200000]]
 
+    def test_far_ladder_entry(self, tmp_path, capsys):
+        # w*100000 is entry 100000 of the ladder of w^(2), past the old search's 2^16 reach
+        family = tmp_path / "walk3.json"
+        assert run(capsys, "gen", "--kind", "walk", "--bound", "w^(3)", "--out", str(family))[0] == 0
+        code, out = run(capsys, "eval", "--family", str(family), "--indices", "w*100000,w^(2)")
+        assert code == 0
+        assert json.loads(out)["values"] == [[0, 1, 1]]
+
     @pytest.mark.parametrize(
         "flags", [["--indices", "3,w"], ["--indices", "w,3"], ["--alpha", "1", "--beta", "w+5"]]
     )
@@ -417,6 +425,29 @@ class TestBound:
             "--avoid", "w", "--club", "w,w*2+1,w^(2)+1", "--seed", "4",
         )
         assert code == 4
+
+    def test_limit_club_top_exits_4(self, capsys, ladder_family):
+        # w*2 is the club point above w, and no club point lies above w*2
+        code = main([
+            "bound", "--family", str(ladder_family),
+            "--avoid", "w", "--club", "1,2,w*2", "--points", "0",
+        ])
+        assert code == 4
+        assert "no element above w*2" in capsys.readouterr().err
+
+    def test_derived_club_beyond_the_budget_exits_3(self, capsys, monkeypatch, tmp_path):
+        # without --club the club runs up the ladder of the bound past the avoided points:
+        # w*k + 1 is ladder entry k + 1 of w^(2), so avoiding w*k asks for k + 3 club points
+        family = tmp_path / "lad2.json"
+        assert main(["gen", "--kind", "ladder", "--bound", "w^(2)", "--out", str(family)]) == 0
+        start = time.perf_counter()
+        code = main(["bound", "--family", str(family), "--avoid", "w*1000000000000"])
+        assert code == 3 and "club asks for" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5
+        monkeypatch.setattr(cli, "MAX_ASKED", 8)
+        for k, expected in ((5, 0), (6, 3)):
+            code = main(["bound", "--family", str(family), "--avoid", f"w*{k}", "--points", "2"])
+            assert code == expected, capsys.readouterr().err
 
     def test_walk_families_rejected(self, capsys, tmp_path, walk_family):
         code, _ = run(capsys, "bound", "--family", str(walk_family), "--gamma", "w*2")

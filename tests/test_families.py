@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanlab import (
@@ -29,7 +29,7 @@ from fanlab import (
     weak_bound_avoiding,
     weak_bound_below,
 )
-from fanlab.families import SampleClosure, _BoundEngine, _first_above, _last_below
+from fanlab.families import SampleClosure, _BoundEngine, _club_split
 from conftest import ordinals
 
 o = Ordinal.from_int
@@ -180,6 +180,15 @@ class TestClosures:
         again = close_below(family, gamma, sample.points)
         assert again.points == sample.points
 
+    def test_limits_bring_both_club_neighbours(self):
+        family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W3)
+        # below w^(2) the club is 1, w+1, w*2+1, ...; w*2 and w sit between
+        below = close_below(family, W2, {w2}, prefix_depth=1)
+        assert below.points == {w2, OMEGA, w2 + 1, OMEGA + 1, o(0), o(1)}
+        club = (o(3), o(9), OMEGA + 1, w2 + 1)
+        avoiding = close_avoiding(family, {OMEGA}, club, set(), prefix_depth=1)
+        assert avoiding.points == {OMEGA, o(0), o(9), OMEGA + 1}
+
     def test_points_must_lie_below_gamma(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W3)
         with pytest.raises(DomainError):
@@ -206,8 +215,24 @@ class TestClubLookups:
     def test_bisection_equals_a_linear_scan(self, values, probes):
         club = tuple(sorted(set(values)))
         for x in probes + list(club):
-            assert _first_above(club, x) == next((v for v in club if v > x), None)
-            assert _last_below(club, x) == max((v for v in club if v < x), default=None)
+            above = next((v for v in club if v > x), None)
+            if above is None:
+                with pytest.raises(ClosureError, match="no element above"):
+                    _club_split(club, x)
+            else:
+                below = max((v for v in club if v < x), default=None)
+                assert _club_split(club, x) == (below, above)
+
+    @given(st.integers(0, 2**32), st.integers(0, 40))
+    def test_ladder_club_split_equals_the_explicit_one(self, seed, ladder_seed):
+        # Both sources of clubs split a limit the same way when the explicit
+        # club is the shifted ladder of gamma itself.
+        rng = random.Random(seed)
+        family = FuncFamily.ladder_disagreement(LadderSystem.seeded(ladder_seed), W3)
+        beta = random_limit(rng, W3)
+        top = family.ladders.first_index_at_least(W3, beta + 1)
+        club = tuple(family.ladders.value(W3, n) + 1 for n in range(top + 1))
+        assert _BoundEngine(family).club_split(W3, beta) == _club_split(club, beta)
 
 
 class TestWeakBoundBelow:
@@ -304,6 +329,25 @@ class TestWeakBoundAvoiding:
             assert verify_witness(bound, family) == []
             smaller = {x for x in sample.points if rng.random() < 0.6}
             assert verify_witness(bound, family, smaller) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 60))
+    def test_witness_is_the_engine_limit_stage_of_the_bound(self, seed, ladder_seed):
+        # With the club that `bound --avoid` derives from the family bound, the
+        # explicit club is a prefix of the bound's own club, so every witness
+        # is the recursion's witness at the bound.
+        rng = random.Random(seed)
+        family = FuncFamily.ladder_disagreement(LadderSystem.seeded(ladder_seed), W3)
+        avoid = {random_limit(rng, W3) for _ in range(rng.randint(1, 4))}
+        points = {random_ordinal(rng, W3) for _ in range(rng.randint(0, 6))}
+        ladders = family.ladders
+        top = ladders.first_index_at_least(W3, max(points | avoid) + 1)
+        club = tuple(ladders.value(W3, n) + 1 for n in range(top + 2))
+        sample = close_avoiding(family, avoid, club, points, prefix_depth=3)
+        bound = weak_bound_avoiding(family, avoid, club, sample)
+        engine = _BoundEngine(family)
+        assert bound.witness == {beta: engine.witness(W3, beta) for beta in avoid}
+        assert verify_witness(bound, family) == []
 
     def test_rejects_overlapping_club(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)

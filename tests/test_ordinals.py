@@ -81,6 +81,17 @@ class TestOrder:
             if ref == 0:
                 assert hash(x) == hash(y)
 
+    @pytest.mark.parametrize("other", [2, 0, None])
+    def test_order_against_a_non_ordinal_is_a_type_error(self, other):
+        one = Ordinal.from_int(1)
+        for compare in (
+            lambda: one < other, lambda: one <= other, lambda: one > other,
+            lambda: one >= other, lambda: other < one, lambda: other >= one,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+        assert one != other and not one == other
+
     @given(ordinals(), ordinals(), ordinals())
     def test_total_order(self, a, b, c):
         assert a <= b or b <= a
@@ -214,17 +225,18 @@ class TestLadderSystems:
 LADDER_BOUNDS = [parse_ordinal(t) for t in ("w^(2)", "w^(3)*2", "w^(w)", "w^(w^(2))")]
 
 
-def gallop(system, alpha, target, limit=1 << 16):
-    """The galloping-then-bisection search that first_index_at_least replaced."""
+def gallop(system, alpha, target):
+    """The galloping-then-bisection search that first_index_at_least replaced.
+
+    Like the original it gives up once its probe passes 2^16.
+    """
     if system.value(alpha, 0) >= target:
         return 0
     lo, hi = 0, 1
     while system.value(alpha, hi) < target:
         lo, hi = hi, hi * 2
-        if hi > limit:
-            raise DomainError(
-                f"no ladder entry of {alpha} reaches {target} within {limit} steps"
-            )
+        if hi > 1 << 16:
+            raise DomainError(f"no ladder entry of {alpha} reaches {target} within 2^16 steps")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if system.value(alpha, mid) < target:
@@ -290,30 +302,34 @@ class TestFirstIndexAtLeast:
             assert system.first_index_at_least(alpha, target) == expected
 
     @settings(max_examples=300, deadline=None)
-    @given(ladder_cases(), st.one_of(st.integers(0, 70), st.just(1 << 16)))
-    def test_equals_the_galloping_search(self, case, limit):
+    @given(ladder_cases())
+    def test_equals_the_galloping_search(self, case):
         system, alpha, target = case
-        new = outcome(lambda: system.first_index_at_least(alpha, target, limit))
-        old = outcome(lambda: gallop(system, alpha, target, limit))
-        if system.kind != "explicit" or isinstance(old, int):
+        new = outcome(lambda: system.first_index_at_least(alpha, target))
+        old = outcome(lambda: gallop(system, alpha, target))
+        if isinstance(old, int):
             assert new == old
         else:
-            # The search also failed when its probes overshot a finite table.
-            assert isinstance(new, tuple) or new == linear_first(system, alpha, target)
+            # The search also failed at or above alpha, and on an explicit
+            # table when its probes overshot the table.
+            assert isinstance(new, tuple) or (
+                system.kind == "explicit" and new == linear_first(system, alpha, target)
+            )
 
     @pytest.mark.parametrize("kind", ["canonical", "seeded"])
-    def test_limit_contract(self, kind):
+    def test_large_answers_against_canonical_ladder(self, kind):
+        # Answers past the 2^16 reach of the old search are given, not refused.
         system = LadderSystem.canonical() if kind == "canonical" else LadderSystem.seeded(4)
-        alpha = parse_ordinal("w*2")
-        target = parse_ordinal("w+9")
-        n = system.first_index_at_least(alpha, target)
-        assert n >= 2
-        power = 1 << (n - 1).bit_length()
-        assert system.first_index_at_least(alpha, target, power) == n
-        with pytest.raises(DomainError, match="within"):
-            system.first_index_at_least(alpha, target, power - 1)
-        with pytest.raises(DomainError, match="within"):
-            system.first_index_at_least(alpha, alpha, 1 << 16)
+        for alpha in map(parse_ordinal, ("w*2", "w^(2)", "w^(3)+w^(2)")):
+            for index in ((1 << 16) + 1, 100000, 10**9):
+                target = canonical_ladder(alpha, index)
+                n = system.first_index_at_least(alpha, target)
+                assert system.value(alpha, n) == target > system.value(alpha, n - 1)
+                if kind == "canonical":
+                    assert n == index
+                assert system.first_index_at_least(alpha, target + 1) == n + 1
+            with pytest.raises(DomainError):
+                system.first_index_at_least(alpha, alpha)
 
     def test_explicit_table_is_bisected_to_its_end(self):
         table = {OMEGA: (o(1), o(3), o(8), o(9))}

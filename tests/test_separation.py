@@ -14,7 +14,6 @@ from fanlab import (
     explicit_hfamily,
     first_limits,
     is_separation,
-    largest_separable_subset,
     min_cap,
     min_sum_labeling,
     parse_ordinal,
@@ -278,40 +277,6 @@ class TestAdversaryTwoSets:
                 a < b and table[(a, b)] >= 2 * n for a in A for b in B
             )
             assert (pair is not None) == expected
-
-
-class TestLargestSeparableSubset:
-    def test_everything_when_cap_suffices(self):
-        h = threshold_family(3, 3)
-        assert largest_separable_subset(h, [0, 1, 2], 2) == (0, 1, 2)
-
-    def test_huge_pair_forces_singletons(self):
-        h = explicit_hfamily([0, 1], {(0, 1): [(t, 9 - t) for t in range(10)]})
-        subset = largest_separable_subset(h, [0, 1], 1)
-        assert len(subset) == 1
-
-    def test_three_indices_with_one_bad_pair(self):
-        h = explicit_hfamily([0, 1, 2], {(0, 1): [(t, 9 - t) for t in range(10)]})
-        subset = largest_separable_subset(h, [0, 1, 2], 1)
-        assert len(subset) == 2 and 2 in subset
-
-    def test_guard(self):
-        h = explicit_hfamily(list(range(21)), {})
-        with pytest.raises(GuardExceeded):
-            largest_separable_subset(h, h.indices, 1)
-
-    def test_subset_really_separates_and_is_maximal(self):
-        rng = random.Random(27)
-        for _ in range(20):
-            h = random_hfamily(rng, 5, coord_max=3)
-            cap = rng.randint(0, 2)
-            subset = largest_separable_subset(h, h.indices, cap)
-            assert solve_separation(h, subset, cap).separated
-            import itertools
-
-            for size in range(len(subset) + 1, len(h.indices) + 1):
-                for bigger in itertools.combinations(h.indices, size):
-                    assert not solve_separation(h, list(bigger), cap).separated
 
 
 class TestRandomLabelings:

@@ -76,6 +76,13 @@ class TestBuildSpace:
         with pytest.raises(GuardExceeded, match="6 isolated points"):
             build_space(h)
 
+    def test_point_budget_beyond_the_index_size(self):
+        # about 10^24 points: len() cannot return the count, the budget still reads it
+        h = explicit_hfamily([0, 1, 2], {(0, 2): [(10**12, 10**12)]})
+        assert h.get(0, 2).size() == (10**12 + 1) ** 2
+        with pytest.raises(GuardExceeded, match="isolated points"):
+            build_space(h)
+
     def test_neighborhoods_decrease(self):
         rng = random.Random(30)
         for _ in range(30):

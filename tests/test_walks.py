@@ -133,6 +133,14 @@ class TestRho2:
         assert cs.rho2(OMEGA, OMEGA + n) == n
         assert cs.rho2(o(3), W2 + n) == n + 2
 
+    @pytest.mark.parametrize("kind", ["canonical", "seeded"])
+    def test_step_to_a_far_ladder_entry(self, kind):
+        # w*100000 is entry 100000 of the ladder of w^(2) (shifted past a seeded
+        # prefix), beyond the 2^16 reach of the old ladder search.
+        cs = CSequence(LadderSystem.canonical() if kind == "canonical" else LadderSystem.seeded(3))
+        alpha, beta = parse_ordinal("w*100000"), parse_ordinal("w^(2)")
+        assert cs.rho2(alpha, beta) == cs.walk(alpha, beta).step_count == 1
+
     def test_walk_trace_stays_guarded(self, cs):
         with pytest.raises(DomainError, match="step guard"):
             cs.walk(OMEGA, OMEGA + 200_000)
