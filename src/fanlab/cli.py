@@ -5,9 +5,16 @@ adversary, bound, space, growth, verify.  All randomness flows from a single
 seed, JSON output is byte-deterministic (sorted keys, no timestamps), and
 human diagnostics such as timings go to stderr.
 
-Exit codes: 0 success or separated, 2 bad ordinal literal, 3 guard exceeded,
-4 closure failure, 5 validation failure, 10 blocked or adversary pair found,
-1 anything else.
+Each command is a function of (args, config) that returns (document, exit
+code).  The document is a JSON-able object or text already rendered (the
+space export, the growth CSV).  `main` is the one writer: it loads --config,
+runs the command and writes the document to --out or stdout.  It is also the
+one place where errors become exit codes, through EXIT_CODES.
+
+Exit codes: 0 success or separated, 10 blocked or adversary pair found, 1 a
+bound with violations or a failed check.
+Error exit codes: 2 bad ordinal literal, 3 guard exceeded, 4 closure failure,
+5 validation failure, 1 domain or file error.
 """
 
 from __future__ import annotations
@@ -24,13 +31,7 @@ from pathlib import Path
 
 from . import verification
 from .cdw import HFamily, sum_threshold_family
-from .errors import (
-    ClosureError,
-    DomainError,
-    GuardExceeded,
-    OrdinalParseError,
-    ValidationError,
-)
+from .errors import ClosureError, DomainError, GuardExceeded, OrdinalParseError, ValidationError
 from .families import (
     FuncFamily,
     close_avoiding,
@@ -68,26 +69,23 @@ EXIT_CLOSURE = 4
 EXIT_VALIDATION = 5
 EXIT_BLOCKED = 10
 
-
-def _emit(doc, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_text(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+# The error exit codes, in the order main tries them.
+EXIT_CODES = {
+    OrdinalParseError: EXIT_PARSE,
+    GuardExceeded: EXIT_GUARD,
+    ClosureError: EXIT_CLOSURE,
+    ValidationError: EXIT_VALIDATION,
+    DomainError: EXIT_ERROR,
+    OSError: EXIT_ERROR,
+}
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
+    # ValueError covers bad syntax, bytes that are not UTF-8 and integers
+    # beyond the interpreter's digit limit; RecursionError, deep nesting.
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -118,18 +116,12 @@ def _setting(args, config: dict, key: str, default=None):
     return value
 
 
-def _load_family(args, config) -> FuncFamily:
-    path = _setting(args, config, "family")
+def _load(args, config, key: str, reader):
+    """reader applied to the JSON file that the setting key names."""
+    path = _setting(args, config, key)
     if path is None:
-        raise ValidationError("a family file is required (--family)")
-    return FuncFamily.from_json(_load_json(path))
-
-
-def _load_hset(args, config) -> HFamily:
-    path = _setting(args, config, "hset")
-    if path is None:
-        raise ValidationError("an hset file is required (--hset)")
-    return HFamily.from_json(_load_json(path))
+        raise ValidationError(f"a --{key} file is required")
+    return reader(_load_json(path))
 
 
 def _wants_ordinals(indices) -> bool:
@@ -223,7 +215,7 @@ def _pair_json(pair) -> list | None:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_gen(args, config) -> int:
+def cmd_gen(args, config) -> tuple:
     kind = _setting(args, config, "kind", "walk")
     bound_text = _setting(args, config, "bound")
     if kind in ("walk", "ladder"):
@@ -239,18 +231,14 @@ def cmd_gen(args, config) -> int:
             raise ValidationError(f"unknown ladder kind {ladder_kind!r}")
         family = FuncFamily(kind, bound, ladders=ladders)
     elif kind == "explicit":
-        table_path = _setting(args, config, "table")
-        if table_path is None:
-            raise ValidationError("explicit families need --table")
-        family = FuncFamily.from_json(_load_json(table_path))
+        family = _load(args, config, "table", FuncFamily.from_json)
     else:
         raise ValidationError(f"unknown family kind {kind!r}")
-    _emit(family.to_json(), _setting(args, config, "out"))
-    return EXIT_OK
+    return family.to_json(), EXIT_OK
 
 
-def cmd_eval(args, config) -> int:
-    family = _load_family(args, config)
+def cmd_eval(args, config) -> tuple:
+    family = _load(args, config, "family", FuncFamily.from_json)
     ordinal = _family_uses_ordinals(family)
     if args.alpha is not None and args.beta is not None:
         alpha, beta = _coerce_indices(
@@ -276,16 +264,15 @@ def cmd_eval(args, config) -> int:
                 if a < b
             ],
         }
-    _emit(doc, _setting(args, config, "out"))
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_hset(args, config) -> int:
+def cmd_hset(args, config) -> tuple:
     table_path = _setting(args, config, "table")
     if table_path is not None:
         h = HFamily.from_json(_load_json(table_path))
     else:
-        family = _load_family(args, config)
+        family = _load(args, config, "family", FuncFamily.from_json)
         spec = _setting(args, config, "indices")
         if spec is None:
             raise ValidationError("hset needs --indices with --family")
@@ -294,12 +281,11 @@ def cmd_hset(args, config) -> int:
             spec, family.bound, seed, ordinal=_family_uses_ordinals(family)
         )
         h = sum_threshold_family(family, indices)
-    _emit(h.to_json(), _setting(args, config, "out"))
-    return EXIT_OK
+    return h.to_json(), EXIT_OK
 
 
-def cmd_separate(args, config) -> int:
-    h = _load_hset(args, config)
+def cmd_separate(args, config) -> tuple:
+    h = _load(args, config, "hset", HFamily.from_json)
     seed = _setting(args, config, "seed", 0)
     A = _subset(args, config, h, seed)
     cap = _setting(args, config, "cap", 0)
@@ -321,12 +307,11 @@ def cmd_separate(args, config) -> int:
         "witness": None if result.witness is None else _labeling_json(result.witness),
         "blocking_pair": _pair_json(pair),
     }
-    _emit(doc, _setting(args, config, "out"))
-    return EXIT_OK if result.separated else EXIT_BLOCKED
+    return doc, EXIT_OK if result.separated else EXIT_BLOCKED
 
 
-def cmd_mincap(args, config) -> int:
-    h = _load_hset(args, config)
+def cmd_mincap(args, config) -> tuple:
+    h = _load(args, config, "hset", HFamily.from_json)
     seed = _setting(args, config, "seed", 0)
     A = _subset(args, config, h, seed)
     start = time.perf_counter()
@@ -342,8 +327,7 @@ def cmd_mincap(args, config) -> int:
         "min_sum_exact": ms.exact,
         "min_sum_witness": _labeling_json(ms.labeling),
     }
-    _emit(doc, _setting(args, config, "out"))
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
 def _load_labels(path: str, ordinal: bool) -> dict:
@@ -363,8 +347,8 @@ def _load_labels(path: str, ordinal: bool) -> dict:
     return f
 
 
-def cmd_adversary(args, config) -> int:
-    h = _load_hset(args, config)
+def cmd_adversary(args, config) -> tuple:
+    h = _load(args, config, "hset", HFamily.from_json)
     seed = _setting(args, config, "seed", 0)
     ordinal = _wants_ordinals(h.indices)
     specs = [_setting(args, config, key) for key in ("first", "second")]
@@ -387,12 +371,11 @@ def cmd_adversary(args, config) -> int:
         "pair": _pair_json(pair),
         "values": None if pair is None else [f[pair[0]], f[pair[1]]],
     }
-    _emit(doc, _setting(args, config, "out"))
-    return EXIT_OK if pair is None else EXIT_BLOCKED
+    return doc, EXIT_OK if pair is None else EXIT_BLOCKED
 
 
-def cmd_bound(args, config) -> int:
-    family = _load_family(args, config)
+def cmd_bound(args, config) -> tuple:
+    family = _load(args, config, "family", FuncFamily.from_json)
     if family.kind == "walk":
         raise ValidationError("bounds are built for ladder or explicit families")
     seed = _setting(args, config, "seed", 0)
@@ -417,11 +400,15 @@ def cmd_bound(args, config) -> int:
         avoid = set(_parse_index_spec(avoid_spec, family.bound, seed, ordinal=True))
         if avoid == set():
             avoid = {random_limit(rng, family.bound) for _ in range(3)}
-        points = {random_ordinal(rng, family.bound) for _ in range(count)}
         club_spec = _setting(args, config, "club")
+        club = ()
         if club_spec is not None:
             club = tuple(sorted(_parse_index_spec(club_spec, family.bound, seed, ordinal=True)))
-        else:
+        # An explicit club closes only the points below its top, so the sample is
+        # drawn there.  An empty club closes nothing, whatever the sample.
+        below = min(club[-1], family.bound) if club else family.bound
+        points = {random_ordinal(rng, below) for _ in range(count)}
+        if club_spec is None:
             ladders = family.ladders or LadderSystem.canonical()
             top = ladders.first_index_at_least(family.bound, max(points | avoid) + 1)
             club = tuple(
@@ -448,19 +435,17 @@ def cmd_bound(args, config) -> int:
         doc["empirical_violations"] = [
             _pair_json(p) for p in verify_witness(bound, family, extra)
         ]
-    _emit(doc, _setting(args, config, "out"))
-    return EXIT_OK if not violations else EXIT_ERROR
+    return doc, EXIT_OK if not violations else EXIT_ERROR
 
 
-def cmd_space(args, config) -> int:
-    h = _load_hset(args, config)
+def cmd_space(args, config) -> tuple:
+    h = _load(args, config, "hset", HFamily.from_json)
     seed = _setting(args, config, "seed", 0)
     A = _subset(args, config, h, seed)
     space = build_space(h, A)
     fmt = _setting(args, config, "format", "json")
     depth_k = _setting(args, config, "depth_k", 0)
-    _emit_text(export_space(space, fmt, k=depth_k), _setting(args, config, "out"))
-    return EXIT_OK
+    return export_space(space, fmt, k=depth_k), EXIT_OK
 
 
 def _parse_schedule(spec: str, bound, seed: int) -> list[list]:
@@ -471,21 +456,14 @@ def _parse_schedule(spec: str, bound, seed: int) -> list[list]:
     except ValueError as exc:
         raise ValidationError(f"bad schedule {spec!r}: {exc}") from exc
     _asked(hi, spec)
-    if mode == "first":
-        if bound is None:
-            raise ValidationError("'first' schedules need an ordinal bound")
-        pool = first_limits(bound, hi)
-    elif mode == "random":
-        if bound is None:
-            raise ValidationError("'random' schedules need an ordinal bound")
-        pool = _random_points(random.Random(seed), bound, hi)
-    else:
+    if mode not in ("first", "random"):
         raise ValidationError(f"unknown schedule mode {mode!r}")
+    pool = _parse_index_spec(f"{mode}:{hi}", bound, seed)
     return [pool[:n] for n in range(lo, min(hi, len(pool)) + 1)]
 
 
-def cmd_growth(args, config) -> int:
-    family = _load_family(args, config)
+def cmd_growth(args, config) -> tuple:
+    family = _load(args, config, "family", FuncFamily.from_json)
     seed = _setting(args, config, "seed", 0)
     schedule = _setting(args, config, "schedule", "first:2..6")
     chain = _parse_schedule(schedule, family.bound, seed)
@@ -502,15 +480,13 @@ def cmd_growth(args, config) -> int:
         writer.writerow(["N", "min_cap", "min_sum", "witness_max"])
         for row in rows:
             writer.writerow([row["N"], row["min_cap"], row["min_sum"], row["witness_max"]])
-        _emit_text(buffer.getvalue(), _setting(args, config, "out"))
-    elif fmt == "json":
-        _emit({"rows": rows}, _setting(args, config, "out"))
-    else:
-        raise ValidationError(f"unknown growth format {fmt!r}")
-    return EXIT_OK
+        return buffer.getvalue(), EXIT_OK
+    if fmt == "json":
+        return {"rows": rows}, EXIT_OK
+    raise ValidationError(f"unknown growth format {fmt!r}")
 
 
-def cmd_verify(args, config) -> int:
+def cmd_verify(args, config) -> tuple:
     seed = _setting(args, config, "seed", 0)
     fast = _setting(args, config, "fast", False)
     reports = verification.run_all(seed, fast=fast)
@@ -529,8 +505,7 @@ def cmd_verify(args, config) -> int:
             for r in reports
         ],
     }
-    _emit(doc, _setting(args, config, "out"))
-    return EXIT_OK if doc["passed"] else EXIT_ERROR
+    return doc, EXIT_OK if doc["passed"] else EXIT_ERROR
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -644,32 +619,21 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = {}
-    if args.config:
-        try:
-            config = _load_json(args.config)
-            if not isinstance(config, dict):
-                raise ValidationError(f"{args.config} must hold a JSON object of settings")
-        except ValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
     try:
-        return _COMMANDS[args.command](args, config)
-    except OrdinalParseError as exc:
+        config = _load_json(args.config) if args.config else {}
+        if not isinstance(config, dict):
+            raise ValidationError(f"{args.config} must hold a JSON object of settings")
+        doc, code = _COMMANDS[args.command](args, config)
+        text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        out = _setting(args, config, "out")
+        if out:
+            Path(out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except ClosureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CLOSURE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -169,6 +169,21 @@ def omega_power(exp: Ordinal, coeff: int = 1) -> Ordinal:
 
 _TOKEN = re.compile(r"w\^|w|\d+|[()*+]")
 
+# The most 'w^(' groups a literal may nest.  Comparing, hashing and printing
+# an ordinal recurse once per level, and every command runs at this depth.
+MAX_NESTING = 100
+# The most digits a number in a literal may have.  It stays far below the
+# 4300 digits up to which the interpreter converts between int and str, so
+# that what the commands compute from it (a walk's step count, a ladder index
+# plus two) can still be printed.
+MAX_DIGITS = 1000
+
+
+def _nat(digits: str) -> int:
+    if len(digits) > MAX_DIGITS:
+        raise OrdinalParseError(f"a number of {len(digits)} digits is longer than {MAX_DIGITS}")
+    return int(digits)
+
 
 def _tokenize(text: str) -> list[str]:
     tokens, pos = [], 0
@@ -186,6 +201,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -220,16 +236,20 @@ class _Parser:
         """Returns (exponent, coefficient), or None for the literal nat 0."""
         tok = self.take()
         if tok == "w^":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise OrdinalParseError(f"a literal may nest at most {MAX_NESTING} 'w^(' groups")
             self.take("(")
             exp = self.parse_ord()
             self.take(")")
+            self.depth -= 1
             if exp.is_zero:
                 raise OrdinalParseError("write w^(0)*c as a plain number")
             return exp, self.parse_coeff()
         if tok == "w":
             return ONE, self.parse_coeff()
         if tok.isdigit():
-            n = int(tok)
+            n = _nat(tok)
             return (ZERO, n) if n else None
         raise OrdinalParseError(f"unexpected token {tok!r}")
 
@@ -239,7 +259,7 @@ class _Parser:
             tok = self.take()
             if not tok.isdigit():
                 raise OrdinalParseError(f"expected a number after '*', got {tok!r}")
-            n = int(tok)
+            n = _nat(tok)
             if n < 1:
                 raise OrdinalParseError("coefficients must be >= 1")
             return n
@@ -506,7 +526,7 @@ def parse_index(text: str):
     """An index value: plain int, or an ordinal literal."""
     text = text.strip()
     if re.fullmatch(r"\d+", text):
-        return int(text)
+        return _nat(text)
     return parse_ordinal(text)
 
 

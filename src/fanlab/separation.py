@@ -79,7 +79,7 @@ def exists_separation_capped(h: HFamily, A, cap: int) -> SeparationResult:
     """
     A = sorted(A)
     if (cap + 1) ** len(A) > ENUM_GUARD:
-        raise GuardExceeded(f"(cap+1)^|A| = {(cap + 1) ** len(A)} exceeds {ENUM_GUARD}")
+        raise GuardExceeded(f"(cap+1)^|A| exceeds {ENUM_GUARD}")
     pairs = [(i, j, h.get(A[i], A[j])) for i in range(len(A)) for j in range(i + 1, len(A))]
     for values in itertools.product(range(cap + 1), repeat=len(A)):
         if all((values[i], values[j]) not in cdw for i, j, cdw in pairs):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, GuardExceeded
 from .ordinals import LadderSystem, Ordinal
 
 _MAX_WALK_STEPS = 100_000
@@ -46,7 +46,7 @@ class CSequence:
         """The walk from beta down to alpha with every step listed.
 
         The trace is held in memory, so past _MAX_WALK_STEPS steps it raises
-        DomainError to bound that memory; rho2 counts any walk.
+        DomainError to bound that memory; rho2 bounds only its limit steps.
         """
         if alpha > beta:
             raise DomainError(f"walk needs alpha <= beta, got {alpha} > {beta}")
@@ -63,14 +63,22 @@ class CSequence:
         """Number of walk steps from beta down to alpha; 0 when equal.
 
         From head + c, c finite, the walk goes down by ones to alpha = head + a
-        (c - a steps) or to head (c steps), so only limit steps call step.
+        (c - a steps) or to head (c steps), so only limit steps call step.  A
+        run of limit steps has no such shortcut (w*k walks down to w in k - 1
+        steps), so past _MAX_WALK_STEPS of them it raises GuardExceeded.
         """
         if alpha > beta:
             raise DomainError(f"walk needs alpha <= beta, got {alpha} > {beta}")
-        count = 0
+        count = limit_steps = 0
         current = beta
         while current > alpha:
             if current.is_limit:
+                limit_steps += 1
+                if limit_steps > _MAX_WALK_STEPS:
+                    raise GuardExceeded(
+                        f"the walk from {beta} to {alpha} takes more than "
+                        f"{_MAX_WALK_STEPS} limit steps"
+                    )
                 current = self.step(alpha, current)
                 count += 1
                 continue

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import time
@@ -11,14 +12,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanlab import FuncFamily, HFamily, min_cap, solve_separation, sum_threshold_family
+from fanlab import (
+    FuncFamily, HFamily, min_cap, parse_ordinal, solve_separation, sum_threshold_family,
+)
 from fanlab import cli
 from fanlab.cli import main
+from fanlab.errors import FanlabError
+from fanlab.ordinals import MAX_DIGITS, MAX_NESTING
 
 
 def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def assert_one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+def nested(depth: int, inner: str = "w") -> str:
+    """An ordinal literal with depth nested 'w^(' groups."""
+    return "w^(" * depth + inner + ")" * depth
 
 
 @pytest.fixture
@@ -151,6 +169,54 @@ class TestIndexSpecs:
         err = capsys.readouterr().err
         assert code == 5
         assert err.startswith("error:") and spec in err and "Traceback" not in err
+
+
+class TestLiteralLimits:
+    def test_deepest_literals_run_through_every_command(self, tmp_path, capsys):
+        family, h = tmp_path / "f.json", tmp_path / "h.json"
+        indices = [nested(MAX_NESTING), nested(MAX_NESTING, "w*2")]
+        bound = nested(MAX_NESTING, "w*3")
+        assert main(["gen", "--kind", "walk", "--bound", bound, "--out", str(family)]) == 0
+        code, out = run(capsys, "eval", "--family", str(family), "--indices", ",".join(indices))
+        assert code == 0 and json.loads(out)["indices"] == indices
+        code, _ = run(
+            capsys, "hset", "--family", str(family), "--indices", ",".join(indices), "--out", str(h)
+        )
+        assert code == 0
+        code, out = run(capsys, "space", "--hset", str(h), "--format", "dot")
+        assert code == 0 and out.startswith("graph space {")
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 2000])
+    def test_deeper_literals_exit_2_at_once(self, capsys, walk_family, depth):
+        start = time.perf_counter()
+        for argv in (
+            ["gen", "--kind", "walk", "--bound", nested(depth)],
+            ["eval", "--family", walk_family, "--alpha", "1", "--beta", nested(depth)],
+            ["hset", "--family", walk_family, "--indices", f"w,{nested(depth)}"],
+        ):
+            assert main([str(a) for a in argv]) == 2
+            assert f"at most {MAX_NESTING}" in assert_one_error_line(capsys)
+        assert time.perf_counter() - start < 5
+
+    def test_longest_numbers_are_printed(self, capsys, walk_family):
+        # the walk from w*2 + 10^k - 1 down to w runs 10^k - 1 successor steps, then one limit step
+        nines = "9" * MAX_DIGITS
+        code, out = run(
+            capsys, "eval", "--family", str(walk_family), "--alpha", "w", "--beta", f"w*2+{nines}"
+        )
+        assert code == 0 and json.loads(out)["value"] == 10**MAX_DIGITS
+
+    def test_overlong_numbers_exit_2(self, tmp_path, capsys, walk_family):
+        nines = "9" * 5000
+        table = tmp_path / "h.json"
+        table.write_text(json.dumps({"indices": ["w", f"w*{nines}"]}))
+        for argv in (
+            ["eval", "--family", walk_family, "--indices", f"w,w*{nines}"],
+            ["eval", "--family", walk_family, "--alpha", "1", "--beta", nines],
+            ["hset", "--table", table],
+        ):
+            assert main([str(a) for a in argv]) == 2
+            assert "5000 digits" in assert_one_error_line(capsys)
 
 
 class TestCountBudget:
@@ -299,8 +365,9 @@ class TestSeparate:
         big.write_text(
             json.dumps({"indices": list(range(12)), "kind": "explicit", "entries": []})
         )
-        code, _ = run(capsys, "separate", "--hset", str(big), "--cap", "6", "--engine", "oracle")
-        assert code == 3
+        for cap in ("6", "9" * 4300):
+            code = main(["separate", "--hset", str(big), "--cap", cap, "--engine", "oracle"])
+            assert code == 3
 
 
 class TestMincap:
@@ -449,6 +516,25 @@ class TestBound:
             code = main(["bound", "--family", str(family), "--avoid", f"w*{k}", "--points", "2"])
             assert code == expected, capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_explicit_club_bounds_the_sample(self, tmp_path, capsys, seed):
+        # the club closes only points below its top w*2+1, so the sample is drawn there
+        family = tmp_path / "lad.json"
+        assert main([
+            "gen", "--kind", "ladder", "--bound", "w^(3)", "--ladders", "seeded",
+            "--seed", str(seed), "--out", str(family),
+        ]) == 0
+        for extra in ([], ["--probe", "8"]):
+            code, out = run(
+                capsys, "bound", "--family", str(family),
+                "--avoid", "w", "--club", "1,2,w+1,w*2+1", *extra,
+            )
+            doc = json.loads(out)
+            assert code == 0 and doc["violations"] == []
+            assert max(map(parse_ordinal, doc["certified_on"])) == parse_ordinal("w*2+1")
+        code, _ = run(capsys, "bound", "--family", str(family), "--avoid", "w", "--club", "")
+        assert code == 4
+
     def test_walk_families_rejected(self, capsys, tmp_path, walk_family):
         code, _ = run(capsys, "bound", "--family", str(walk_family), "--gamma", "w*2")
         assert code == 5
@@ -494,6 +580,20 @@ class TestGrowth:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "schedule, expected",
+        [
+            ("first:2..10000000000000", 3), ("x:2..10000000000000", 3),
+            ("random:2..4", 5), ("x:2..4", 5),
+        ],
+    )
+    def test_schedule_on_a_family_without_bound(self, tmp_path, capsys, schedule, expected):
+        # the count budget comes before the mode and bound checks
+        family = tmp_path / "fam.json"
+        family.write_text(json.dumps(FuncFamily.explicit({(0, 1): 3}).to_json()))
+        assert main(["growth", "--family", str(family), "--schedule", schedule]) == expected
+        assert_one_error_line(capsys)
 
 
 class TestVerifyCommand:
@@ -660,15 +760,16 @@ def _ends_in_documented_exit(argv) -> None:
 
 @pytest.fixture(scope="class")
 def fuzz_inputs(tmp_path_factory):
-    """A walk family over w^(2) and its hset over w, w*2, w*3."""
+    """A walk family over w^(2), its hset over w, w*2, w*3, a ladder family over w^(2)."""
     root = tmp_path_factory.mktemp("fuzz-inputs")
-    walk, hset = root / "walk.json", root / "h.json"
+    walk, hset, ladder = root / "walk.json", root / "h.json", root / "ladder.json"
     for argv in (
         ["gen", "--kind", "walk", "--bound", "w^(2)", "--out", walk],
         ["hset", "--family", walk, "--indices", "first:3", "--out", hset],
+        ["gen", "--kind", "ladder", "--bound", "w^(2)", "--out", ladder],
     ):
         assert main([str(a) for a in argv]) == 0
-    return walk, hset
+    return walk, hset, ladder
 
 
 class TestInputFuzz:
@@ -709,7 +810,7 @@ class TestInputFuzz:
     @settings(max_examples=100, deadline=None)
     @given(_CONFIG_LIKE)
     def test_any_config_file_ends_in_a_documented_exit(self, tmp_path_factory, fuzz_inputs, data):
-        walk, hset = fuzz_inputs
+        walk, hset, _ = fuzz_inputs
         root = tmp_path_factory.mktemp("fuzz")
         path = root / "config.json"
         path.write_text(json.dumps(data))
@@ -723,12 +824,104 @@ class TestInputFuzz:
                 _ends_in_documented_exit([*argv, "--config", path])
 
 
+class TestUnreadableInputs:
+    CONTENTS = {
+        "not_utf8": b'{"indices": [0, 1]}\xff\xfe',
+        "nested_1200": b"[" * 1200 + b"]" * 1200,
+        "digits_5000": b'{"indices": [' + b"9" * 5000 + b"]}",
+    }
+
+    @staticmethod
+    def readers(path, hset):
+        """One command per file-reading flag, reading path through that flag."""
+        return {
+            "family": ["eval", "--family", path, "--indices", "first:3"],
+            "hset": ["mincap", "--hset", path],
+            "table": ["hset", "--table", path],
+            "table_explicit": ["gen", "--kind", "explicit", "--table", path],
+            "labels": [
+                "adversary", "--hset", hset, "--first", "w", "--second", "w*2", "--labels", path,
+            ],
+            "config": ["mincap", "--hset", hset, "--config", path],
+        }
+
+    @pytest.mark.parametrize("content", CONTENTS.values(), ids=CONTENTS.keys())
+    @pytest.mark.parametrize(
+        "flag", ["family", "hset", "table", "table_explicit", "labels", "config"]
+    )
+    def test_undecodable_file_exits_5(self, tmp_path, capsys, hset, flag, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        assert main([str(a) for a in self.readers(path, hset)[flag]]) == 5
+        assert "is not valid JSON" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_config_that_cannot_be_read_exits_1(self, tmp_path, capsys, hset, name):
+        assert main(self.readers(str(tmp_path / name), str(hset))["config"]) == 1
+        assert_one_error_line(capsys)
+
+
+# Arguments for the argv fuzz: index literals, index specs and integers,
+# including literals nested past MAX_NESTING and digit runs past MAX_DIGITS and
+# past the interpreter's 4300-digit limit for int().  Counts stay small or jump
+# past MAX_ASKED, since any count up to it is honoured.
+_DIGITS = st.sampled_from([1, 19, MAX_DIGITS, MAX_DIGITS + 1, 4300, 4301]).map(
+    lambda n: "9" * n
+)
+_ARG_LITERAL = (
+    st.sampled_from(["w", "w*2", "w^(2)", "w^(w)", "w+1", "w*3+2", "3", "0", "x", "", "w*0"])
+    | st.integers(0, MAX_NESTING + 2).map(nested)
+    | st.sampled_from([MAX_NESTING, MAX_NESTING + 1, 2000]).map(lambda d: nested(d, "w*2"))
+    | _DIGITS | _DIGITS.map(lambda d: f"w*{d}") | _DIGITS.map(lambda d: f"w^({d})")
+    | st.text(alphabet="w^()*+0123456789, ", max_size=24)
+)
+_ARG_INT = st.integers(-3, 8).map(str) | _DIGITS | st.just(str(cli.MAX_ASKED + 1))
+_ARG_SPEC = (
+    st.lists(_ARG_LITERAL, max_size=4).map(",".join)
+    | st.tuples(st.sampled_from(["first", "random", "w"]), _ARG_INT).map(":".join)
+)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_ARG_LITERAL, _ARG_LITERAL, _ARG_SPEC, _ARG_SPEC, _ARG_INT)
+    def test_any_argv_ends_in_a_documented_exit(self, fuzz_inputs, alpha, beta, spec, other, n):
+        walk, hset, ladder = fuzz_inputs
+        for argv in (
+            ["eval", "--family", walk, "--alpha", alpha, "--beta", beta],
+            ["eval", "--family", walk, "--indices", spec, "--seed", n],
+            ["hset", "--family", walk, "--indices", spec],
+            ["separate", "--hset", hset, "--subset", spec, "--cap", n],
+            ["adversary", "--hset", hset, "--first", spec, "--second", other, "--const", n],
+            ["bound", "--family", ladder, "--avoid", spec, "--points", "2"],
+        ):
+            try:
+                _ends_in_documented_exit(argv)
+            except SystemExit as exc:  # argparse refuses an --int value with exit 2
+                assert exc.code == 2, argv
+
+
+class TestExitCodeTable:
+    def test_every_error_type_has_an_exit_code(self):
+        kinds, todo = [], [FanlabError]
+        while todo:
+            kinds.append(todo.pop())
+            todo.extend(kinds[-1].__subclasses__())
+        for kind in kinds[1:]:
+            assert any(issubclass(kind, handled) for handled in cli.EXIT_CODES), kind
+
+    def test_docstring_lists_the_table_codes(self):
+        sentence = re.search(r"Error exit codes: ([^.]*)\.", cli.__doc__).group(1)
+        documented = [int(code) for code in re.findall(r"\b(\d+) ", sentence)]
+        assert sorted(documented) == sorted(set(cli.EXIT_CODES.values()))
+
+
 class TestParserCache:
     def test_successive_calls_get_independent_namespaces(self, monkeypatch, tmp_path):
         seen = []
         for name in ("verify", "mincap"):
             monkeypatch.setitem(
-                cli._COMMANDS, name, lambda args, config: seen.append(args) or 0
+                cli._COMMANDS, name, lambda args, config: seen.append(args) or ("", 0)
             )
         assert main(["verify", "--fast"]) == 0
         assert main(["verify"]) == 0

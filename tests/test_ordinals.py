@@ -19,7 +19,7 @@ from fanlab import (
     random_limit,
     random_ordinal,
 )
-from fanlab.ordinals import _SEED_PREFIX_MAX, _stable_rng
+from fanlab.ordinals import _SEED_PREFIX_MAX, MAX_DIGITS, MAX_NESTING, _stable_rng, parse_index
 from conftest import ordinals
 
 o = Ordinal.from_int
@@ -58,6 +58,19 @@ class TestLiterals:
     def test_rejects_non_canonical_literals(self, text):
         with pytest.raises(OrdinalParseError):
             parse_ordinal(text)
+
+    def test_nesting_and_digit_limits(self):
+        deepest = "w^(" * MAX_NESTING + "w" + ")" * MAX_NESTING
+        longest = "w*" + "9" * MAX_DIGITS
+        wide = "+".join(f"w^(w*{k})" for k in range(2 * MAX_NESTING, 1, -1))  # groups side by side
+        for text in (deepest, longest, wide):
+            assert str(parse_ordinal(text)) == text
+        assert parse_index("9" * MAX_DIGITS) == 10**MAX_DIGITS - 1
+        for text in ("w^(" + deepest + ")", longest + "9", "9" * 5000):
+            with pytest.raises(OrdinalParseError):
+                parse_ordinal(text)
+        with pytest.raises(OrdinalParseError):
+            parse_index("9" * (MAX_DIGITS + 1))
 
     @given(ordinals())
     def test_round_trip_generated(self, a):

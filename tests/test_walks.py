@@ -8,11 +8,13 @@ from fanlab import (
     OMEGA,
     CSequence,
     DomainError,
+    GuardExceeded,
     LadderSystem,
     Ordinal,
     parse_ordinal,
     random_ordinal,
 )
+from fanlab.walks import _MAX_WALK_STEPS
 
 o = Ordinal.from_int
 W2 = parse_ordinal("w*2")
@@ -140,6 +142,13 @@ class TestRho2:
         cs = CSequence(LadderSystem.canonical() if kind == "canonical" else LadderSystem.seeded(3))
         alpha, beta = parse_ordinal("w*100000"), parse_ordinal("w^(2)")
         assert cs.rho2(alpha, beta) == cs.walk(alpha, beta).step_count == 1
+
+    def test_limit_steps_are_guarded(self, cs):
+        # w*(k + 1) walks down to w through w*k, ..., w*2 in k limit steps
+        k = _MAX_WALK_STEPS
+        assert cs.rho2(OMEGA, parse_ordinal(f"w*{k + 1}")) == k
+        with pytest.raises(GuardExceeded, match="limit steps"):
+            cs.rho2(OMEGA, parse_ordinal(f"w*{k + 2}"))
 
     def test_walk_trace_stays_guarded(self, cs):
         with pytest.raises(DomainError, match="step guard"):
