@@ -21,10 +21,12 @@ from typing import Iterable, Iterator
 
 from .errors import DomainError, GuardExceeded, ValidationError
 from .families import FuncFamily
-from .ordinals import check_index_kinds, index_from_json, index_to_json
+from .ordinals import MAX_DIGITS, check_index_kinds, index_from_json, index_to_json
 
 # The largest family value sum_threshold materializes as a staircase.
 MAX_THRESHOLD = 1 << 18
+# Staircase coordinates have at most MAX_DIGITS digits, so every size can be printed.
+_MAX_COORDINATE = 10**MAX_DIGITS
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,8 @@ class CdwSet:
                     "staircase must have strictly increasing n and decreasing m"
                 )
             prev = (n, m)
+        if self.staircase and max(self.staircase[-1][0], self.staircase[0][1]) >= _MAX_COORDINATE:
+            raise ValidationError(f"staircase coordinates must have at most {MAX_DIGITS} digits")
         object.__setattr__(self, "_firsts", tuple(n for n, _ in self.staircase))
 
     def __contains__(self, pair: tuple[int, int]) -> bool:

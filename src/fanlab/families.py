@@ -10,22 +10,27 @@ g weakly bounds h with witness n when g(x) + n > h(x) on the common domain.
 The module constructs, for a limit gamma, a function g bounding every
 h_beta with beta < gamma by the club recursion (pointwise max at successor
 stages, jump to the next club point at limit stages), plus the variant that
-bounds {h_beta : beta in A} using a club disjoint from A.  Both are one
-recursion with two sources of clubs: the ladder of gamma shifted by one
-(_BoundEngine.club_split) or an explicit club (_club_split).  Each splits a
-limit into the last club point below it and the first above it; samples are
-closed under that split, and a limit stage's witness is
-escape(beta, lower) + 1 + witness(upper, beta).  Witnesses are these
-structural values for ladder families and sample-evaluated maxima
-otherwise; both are checked exhaustively on the certification sample.
+bounds {h_beta : beta in A} using a club disjoint from A.  One memoised walk
+down the recursion (_BoundEngine._stage) gives g and the witness together:
+a successor stage folds h into the max, a limit stage jumps to the first
+club point above and adds escape(beta, lower) + 1 to the witness, where
+lower is the last club point below.  Clubs come from two sources, the
+ladder of gamma shifted by one (_BoundEngine.club_split) or an explicit club
+(_club_split); each splits a limit into the club points on either side.  A
+SampleClosure records its points, the split they are closed under and the
+ladder-prefix depth, so re-closing it is the whole closure check.
+Witnesses are the structural values for ladder families and sample-evaluated
+maxima otherwise; both are checked exhaustively on the certification sample.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
-from .errors import ClosureError, DomainError, ValidationError
+from .errors import ClosureError, DomainError, GuardExceeded, ValidationError
 from .ordinals import (
     LadderSystem,
     Ordinal,
@@ -37,6 +42,9 @@ from .ordinals import (
 from .walks import CSequence
 
 _DISAGREE_SCAN_LIMIT = 1 << 16
+# Budget of both walks down the club recursion: the points one sample closure
+# collects and the stages one _BoundEngine memoises; past it, GuardExceeded.
+MAX_STAGES = 1 << 14
 
 
 class FuncFamily:
@@ -193,10 +201,13 @@ def separation_labeling(family: FuncFamily, gamma, sample) -> dict:
 
 @dataclass(frozen=True)
 class SampleClosure:
-    """Finite set of ordinals closed under the maps a construction consults."""
+    """Finite set of ordinals closed under the maps a construction consults:
+    ladder prefixes of length prefix_depth at every limit, and the club points
+    club_split(x) gives on either side of every limit x."""
 
     points: frozenset
-    description: tuple
+    club_split: Callable
+    prefix_depth: int
 
     def __iter__(self):
         return iter(self.points)
@@ -222,6 +233,8 @@ def _close(family: FuncFamily, points, prefix_depth: int, club_split) -> frozens
         if x in closed:
             continue
         closed.add(x)
+        if len(closed) > MAX_STAGES:
+            raise GuardExceeded(f"the sample closure grows past {MAX_STAGES} points")
         if x.is_limit:
             queue.extend(ladders.value(x, i) for i in range(prefix_depth))
             lower, upper = club_split(x)
@@ -237,12 +250,13 @@ def close_below(
     """Close a point set below gamma under ladder prefixes and club jumps."""
     if not gamma.is_limit:
         raise DomainError(f"{gamma} is not a limit ordinal")
+    if family.bound is not None and family.bound < gamma:
+        raise DomainError(f"{gamma} is above the family bound {family.bound}")
     for x in points:
         if not x < gamma:
             raise DomainError(f"sample point {x} is not below {gamma}")
-    engine = _BoundEngine(family)
-    closed = _close(family, points, prefix_depth, lambda x: engine.club_split(gamma, x))
-    return SampleClosure(closed, ("below", gamma, prefix_depth))
+    split = partial(_BoundEngine(family).club_split, gamma)
+    return SampleClosure(_close(family, points, prefix_depth, split), split, prefix_depth)
 
 
 def close_avoiding(
@@ -250,21 +264,16 @@ def close_avoiding(
 ) -> SampleClosure:
     """Close a point set under ladder prefixes and jumps through an explicit club."""
     avoid = frozenset(avoid)
-    club = _explicit_club(club, avoid)
-    closed = _close(family, set(points) | avoid, prefix_depth, lambda x: _club_split(club, x))
-    return SampleClosure(closed, ("avoiding", tuple(sorted(avoid)), club, prefix_depth))
+    split = partial(_club_split, _explicit_club(club, avoid))
+    return SampleClosure(
+        _close(family, set(points) | avoid, prefix_depth, split), split, prefix_depth
+    )
 
 
 def is_closed(family: FuncFamily, closure: SampleClosure) -> bool:
     """Idempotence check: re-closing the point set adds nothing."""
-    mode = closure.description[0]
-    if mode == "below":
-        _, gamma, depth = closure.description
-        again = close_below(family, gamma, closure.points, depth)
-    else:
-        _, avoid, club, depth = closure.description
-        again = close_avoiding(family, avoid, club, closure.points, depth)
-    return again.points == closure.points
+    points = closure.points
+    return _close(family, points, closure.prefix_depth, closure.club_split) == points
 
 
 def _explicit_club(club, avoid) -> tuple:
@@ -297,19 +306,23 @@ def _club_ladders(family: FuncFamily) -> LadderSystem:
 
 
 class _BoundEngine:
-    """Memoized evaluator for the club recursion g_gamma and its witnesses.
+    """Memoised walk down the club recursion, giving g_gamma and its witnesses.
 
-    g_{xi+1} is the pointwise max of g_xi and h_xi (top point 1); for limit
-    gamma, g_gamma sends a limit beta to g at the first club point of gamma
-    above beta and everything else to 1, the club being the ladder of gamma
+    A stage (gamma, x) with x < gamma has the value (g_gamma(x), n), where
+    g_gamma(y) + n > h_x(y) for all y < x.  At a successor gamma = xi + 1 the
+    stage is (1, 1) for x = xi, else the stage (xi, x) with h_xi(x) folded
+    into the max.  At a limit gamma a limit x takes the stage at the first
+    club point of gamma above x, with escape(x, lower) + 1 added to the
+    witness; any other x gets (1, 1).  The club is the ladder of gamma
     shifted by one (successor ordinals only, hence disjoint from the limits).
+    For ladder families the witness is structural: valid at every point, not
+    just sampled ones.
     """
 
     def __init__(self, family: FuncFamily):
         self.family = family
         self.ladders = _club_ladders(family)
-        self._values: dict[tuple[Ordinal, Ordinal], int] = {}
-        self._witnesses: dict[tuple[Ordinal, Ordinal], int] = {}
+        self._stages: dict[tuple[Ordinal, Ordinal], tuple[int, int]] = {}
 
     def club_split(self, gamma: Ordinal, beta: Ordinal):
         """(last club point of gamma below beta or None, first one above)."""
@@ -322,74 +335,43 @@ class _BoundEngine:
         """Least k with ladder(beta, k) above the club point lower; 0 for None."""
         return 0 if lower is None else self.ladders.first_index_at_least(beta, lower + 1)
 
-    def g(self, gamma: Ordinal, x: Ordinal) -> int:
+    def _stage(self, gamma: Ordinal, x: Ordinal) -> tuple[int, int]:
         if not x < gamma:
             raise DomainError(f"{x} is not below {gamma}")
-        # Walk down to a known or base value, then fill in the memo upwards,
-        # so long successor chains need no recursion.
+        # Walk down to a known or base stage, then fill in the memo upwards,
+        # so long chains need no recursion.
         chain = []
-        while True:
-            key = (gamma, x)
-            value = self._values.get(key)
-            if value is not None:
-                break
+        while (gamma, x) not in self._stages:
+            if len(self._stages) + len(chain) >= MAX_STAGES:
+                raise GuardExceeded(f"the club recursion at {x} runs past {MAX_STAGES} stages")
             if gamma.is_successor:
                 xi = gamma.predecessor()
                 if x == xi:
-                    value = 1
+                    self._stages[gamma, x] = (1, 1)
                     break
-                chain.append((key, xi))
+                chain.append((gamma, xi, 0))
                 gamma = xi
             elif x.is_limit:
-                chain.append((key, None))
-                gamma = self.club_split(gamma, x)[1]
+                lower, upper = self.club_split(gamma, x)
+                chain.append((gamma, None, self.escape(x, lower) + 1))
+                gamma = upper
             else:
-                value = 1
+                self._stages[gamma, x] = (1, 1)
                 break
-        self._values[key] = value
-        for key, xi in reversed(chain):
+        g, n = self._stages[gamma, x]
+        for gamma, xi, offset in reversed(chain):
             if xi is not None:
-                value = max(value, self.family.value(x, xi))
-            self._values[key] = value
-        return value
+                g = max(g, self.family.value(x, xi))
+            n += offset
+            self._stages[gamma, x] = (g, n)
+        return g, n
+
+    def g(self, gamma: Ordinal, x: Ordinal) -> int:
+        return self._stage(gamma, x)[0]
 
     def witness(self, gamma: Ordinal, beta: Ordinal) -> int:
-        """n with g_gamma(x) + n > h_beta(x) for all x < beta.
-
-        Structural for ladder families: at limit stages n = k + m + 1 where
-        the ladder of beta clears the last club point below beta at index k
-        and m is the witness one club point up.  Valid at every point, not
-        just sampled ones.
-        """
-        if not beta < gamma:
-            raise DomainError(f"{beta} is not below {gamma}")
-        # Each stage adds its offset to the witness one stage down; walk down
-        # to a known or base value, then fill in the memo upwards.
-        chain = []
-        while True:
-            key = (gamma, beta)
-            value = self._witnesses.get(key)
-            if value is not None:
-                break
-            if not beta.is_limit:
-                value = 1  # h_beta vanishes off pairs of limits
-                break
-            if gamma.is_successor:
-                xi = gamma.predecessor()
-                if xi == beta:
-                    value = 1
-                    break
-                chain.append((key, 0))
-                gamma = xi
-            else:
-                lower, upper = self.club_split(gamma, beta)
-                chain.append((key, self.escape(beta, lower) + 1))
-                gamma = upper
-        self._witnesses[key] = value
-        for key, offset in reversed(chain):
-            value += offset
-            self._witnesses[key] = value
-        return value
+        """n with g_gamma(x) + n > h_beta(x) for all x < beta."""
+        return self._stage(gamma, beta)[1]
 
 
 class WeakBound:
@@ -405,10 +387,7 @@ class WeakBound:
             return self._engine.g(self.gamma, x)
         if not x.is_limit:
             return 1
-        i = bisect.bisect_right(self.club, x)
-        if i == len(self.club):
-            raise DomainError(f"the club has no element above {x}")
-        return self._engine.g(self.club[i], x)
+        return self._engine.g(_club_split(self.club, x)[1], x)
 
 
 def bound_function(family: FuncFamily, gamma: Ordinal) -> WeakBound:

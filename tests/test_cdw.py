@@ -86,6 +86,15 @@ class TestCdwSetValidation:
         with pytest.raises(ValidationError):
             CdwSet(((-1, 0),))
 
+    def test_coordinates_have_at_most_max_digits(self):
+        from fanlab.ordinals import MAX_DIGITS
+
+        top = 10**MAX_DIGITS - 1
+        assert CdwSet(((0, top), (top, 0))).max_n() == top
+        for staircase in (((0, top + 1), (top, 0)), ((0, top), (top + 1, 0))):
+            with pytest.raises(ValidationError, match="digits"):
+                CdwSet(staircase)
+
     def test_max_m_for(self):
         cdw = downward_close([(2, 2), (4, 0)])
         assert cdw.max_m_for(0) == 2

@@ -18,6 +18,7 @@ from fanlab import (
 from fanlab import cli
 from fanlab.cli import main
 from fanlab.errors import FanlabError
+from fanlab.families import MAX_STAGES
 from fanlab.ordinals import MAX_DIGITS, MAX_NESTING
 
 
@@ -316,6 +317,16 @@ class TestHset:
             capsys.readouterr()
             assert code == expected
 
+    @pytest.mark.parametrize("digits", [1500, 4300])
+    def test_coordinates_past_the_digit_limit_exit_5(self, tmp_path, capsys, digits):
+        # a 4300-digit size cannot be printed; 1500 digits ran (space exit 3, mincap 0)
+        big = tmp_path / "big.json"
+        huge = "9" * digits
+        big.write_text(f'{{"indices": [0, 1], "entries": [[0, 1, [[{huge}, {huge}]]]]}}')
+        for command in ("space", "mincap"):
+            assert main([command, "--hset", str(big)]) == 5
+            assert f"at most {MAX_DIGITS} digits" in assert_one_error_line(capsys)
+
     def test_mixed_int_and_ordinal_indices_exit_5(self, tmp_path, capsys):
         bad = tmp_path / "mixed.json"
         bad.write_text(json.dumps({"indices": [1, "w"], "kind": "explicit", "entries": []}))
@@ -538,6 +549,27 @@ class TestBound:
     def test_walk_families_rejected(self, capsys, tmp_path, walk_family):
         code, _ = run(capsys, "bound", "--family", str(walk_family), "--gamma", "w*2")
         assert code == 5
+
+    @pytest.mark.parametrize("ladders", ["seeded", "canonical"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--gamma", "w*100000000", "--points", "8"],
+            ["--avoid", "w", "--club", "w+100000000,w*2", "--points", "3"],
+            ["--gamma", "w*9999999999999999999", "--points", "2", "--seed", "2"],
+        ],
+    )
+    def test_large_coefficients_exit_3_at_once(self, tmp_path, capsys, ladders, argv):
+        # the club recursion walks about one stage per unit of a coefficient
+        family = tmp_path / "lad2.json"
+        assert main([
+            "gen", "--kind", "ladder", "--bound", "w^(2)", "--ladders", ladders,
+            "--seed", "3", "--out", str(family),
+        ]) == 0
+        start = time.perf_counter()
+        code = main(["bound", "--family", str(family), *argv])
+        assert code == 3 and f"past {MAX_STAGES}" in assert_one_error_line(capsys)
+        assert time.perf_counter() - start < 1
 
 
 class TestSpaceCommand:
@@ -894,6 +926,8 @@ class TestArgvFuzz:
             ["separate", "--hset", hset, "--subset", spec, "--cap", n],
             ["adversary", "--hset", hset, "--first", spec, "--second", other, "--const", n],
             ["bound", "--family", ladder, "--avoid", spec, "--points", "2"],
+            ["bound", "--family", ladder, "--gamma", alpha, "--points", "2", "--seed", n],
+            ["bound", "--family", ladder, "--avoid", spec, "--club", other, "--points", "2"],
         ):
             try:
                 _ends_in_documented_exit(argv)

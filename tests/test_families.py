@@ -1,4 +1,7 @@
+import itertools
 import random
+from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from fanlab import (
     CSequence,
     DomainError,
     FuncFamily,
+    GuardExceeded,
     LadderSystem,
     Ordinal,
     bound_function,
@@ -29,6 +33,7 @@ from fanlab import (
     weak_bound_avoiding,
     weak_bound_below,
 )
+from fanlab import families
 from fanlab.families import SampleClosure, _BoundEngine, _club_split
 from conftest import ordinals
 
@@ -194,6 +199,12 @@ class TestClosures:
         with pytest.raises(DomainError):
             close_below(family, w2, {w3})
 
+    def test_gamma_must_not_pass_the_family_bound(self):
+        family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)
+        assert close_below(family, W2, {o(1)}).points
+        with pytest.raises(DomainError, match="above the family bound"):
+            close_below(family, W3, {o(1)})
+
     def test_gamma_must_be_limit(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W3)
         with pytest.raises(DomainError):
@@ -279,14 +290,12 @@ class TestWeakBoundBelow:
     def test_rejects_unclosed_samples(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)
         closed = close_below(family, w2, {OMEGA, o(4)})
-        pruned = SampleClosure(closed.points - {o(4)}, closed.description)
         # removing an interior point can break closure only if it was required;
         # drop a ladder-prefix point instead, which always is
         prefix_point = min(closed.points)
-        broken = SampleClosure(closed.points - {prefix_point}, closed.description)
+        broken = replace(closed, points=closed.points - {prefix_point})
         with pytest.raises(ClosureError):
             weak_bound_below(family, w2, broken)
-        del pruned
 
     def test_rejects_non_limit_gamma(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)
@@ -352,7 +361,7 @@ class TestWeakBoundAvoiding:
     def test_rejects_overlapping_club(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)
         club = (OMEGA, w2 + 1)
-        sample = SampleClosure(frozenset({o(1)}), ("avoiding", (OMEGA,), club, 3))
+        sample = SampleClosure(frozenset({o(1)}), partial(_club_split, club), 3)
         with pytest.raises(ClosureError):
             weak_bound_avoiding(family, {OMEGA}, club, sample)
 
@@ -407,6 +416,57 @@ class TestBoundRecursion:
         gamma = parse_ordinal("w*2+5000")
         assert isinstance(bound_function(family, gamma)(parse_ordinal("w+1")), int)
         assert isinstance(_BoundEngine(family).witness(gamma, OMEGA), int)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 40))
+    def test_stages_equal_the_recursive_definition(self, seed, ladder_seed):
+        # One engine answers every query, so later queries also read stages
+        # that earlier ones memoised.
+        rng = random.Random(seed)
+        family = FuncFamily.ladder_disagreement(LadderSystem.seeded(ladder_seed), W3)
+        engine = _BoundEngine(family)
+        for _ in range(6):
+            gamma = random_ordinal(rng, W3) + 1
+            # limits below gamma are where the club jumps and the witnesses grow
+            limit = gamma > OMEGA + 1 and rng.random() < 0.7
+            x = random_limit(rng, gamma) if limit else random_ordinal(rng, gamma)
+            assert (engine.g(gamma, x), engine.witness(gamma, x)) == _reference_stage(
+                family, gamma, x
+            )
+
+    def test_stage_budget(self, monkeypatch):
+        family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W3)
+        with pytest.raises(GuardExceeded, match="runs past"):
+            bound_function(family, parse_ordinal("w*2+100000"))(OMEGA)
+        monkeypatch.setattr(families, "MAX_STAGES", 10)
+        engine = _BoundEngine(family)
+        assert engine.g(parse_ordinal("w+9"), o(3)) == 1  # ten stages: a full budget
+        assert engine.g(parse_ordinal("w+9"), o(3)) == 1  # read from the memo
+        with pytest.raises(GuardExceeded):
+            engine.g(parse_ordinal("w+1"), o(4))  # memoised stages count too
+        with pytest.raises(GuardExceeded, match="sample closure grows past 10 points"):
+            close_below(family, W2, {parse_ordinal("w*5")}, prefix_depth=2)
+
+
+def _reference_stage(family, gamma, x):
+    """(g_gamma(x), witness) by the recursion as defined, with no memo."""
+    ladders = family.ladders
+    if gamma.is_successor:
+        xi = gamma.predecessor()
+        if x == xi:
+            return 1, 1
+        g, n = _reference_stage(family, xi, x)
+        return max(g, family.value(x, xi)), n
+    if not x.is_limit:
+        return 1, 1
+    # the club of gamma is its ladder shifted by one; jump to the first point above x
+    k = ladders.first_index_at_least(gamma, x)
+    g, n = _reference_stage(family, ladders.value(gamma, k) + 1, x)
+    escape = 0
+    if k:
+        lower = ladders.value(gamma, k - 1) + 1
+        escape = next(i for i in itertools.count() if ladders.value(x, i) > lower)
+    return g, n + escape + 1
 
 
 class TestDisagreement:
