@@ -1,10 +1,13 @@
 """Golden CLI outputs: the stdout of one fixed pipeline, byte for byte.
 
 Each case runs gen -> hset --family -> mincap -> separate at min_cap and at
-min_cap - 1 -> space --format json and --format dot --depth-k 1 on one tiny
-walk family, once with canonical and once with seeded ladders, and compares
-every stdout with the file of the same name under tests/golden/<case>/, and
-every exit code with that directory's exit_codes.json.  A change that alters any output fails here.
+min_cap - 1 -> space --format json and --format dot --depth-k 1 -> eval
+--indices on one tiny walk family, then gen -> eval --indices -> bound
+--gamma --probe 2 and bound --avoid on the ladder family of the same bound,
+once with canonical and once with seeded ladders.  It compares every stdout
+with the file of the same name under tests/golden/<case>/, and every exit
+code with that directory's exit_codes.json.  A change that alters any output
+fails here.
 
 Regenerate the fixtures only when an output change is intended:
 
@@ -30,6 +33,7 @@ LADDERS = {
 }
 STEPS = [
     "gen", "hset", "mincap", "separate_at_min_cap", "separate_below_min_cap", "space", "space_dot",
+    "eval", "gen_ladder", "eval_ladder", "bound_below", "bound_avoiding",
 ]
 
 
@@ -57,6 +61,11 @@ def run_pipeline(ladders: list, workdir: Path) -> dict:
     step("separate_below_min_cap", "separate", "--hset", hset, "--cap", cap - 1)
     step("space", "space", "--hset", hset, "--format", "json")
     step("space_dot", "space", "--hset", hset, "--format", "dot", "--depth-k", 1)
+    step("eval", "eval", "--family", family, "--indices", INDICES)
+    ladder = step("gen_ladder", "gen", "--kind", "ladder", "--bound", BOUND, *ladders)
+    step("eval_ladder", "eval", "--family", ladder, "--indices", INDICES)
+    step("bound_below", "bound", "--family", ladder, "--gamma", "w^(2)*2", "--probe", 2)
+    step("bound_avoiding", "bound", "--family", ladder, "--avoid", "w*2,w^(2)+w")
     return outputs
 
 
