@@ -36,6 +36,7 @@ from .families import (
     FuncFamily,
     close_avoiding,
     close_below,
+    derived_club,
     verify_witness,
     weak_bound_avoiding,
     weak_bound_below,
@@ -409,10 +410,8 @@ def cmd_bound(args, config) -> tuple:
         below = min(club[-1], family.bound) if club else family.bound
         points = {random_ordinal(rng, below) for _ in range(count)}
         if club_spec is None:
-            ladders = family.ladders or LadderSystem.canonical()
-            top = ladders.first_index_at_least(family.bound, max(points | avoid) + 1)
-            club = tuple(
-                ladders.value(family.bound, n) + 1 for n in range(_asked(top + 2, "club"))
+            club = derived_club(
+                family, family.bound, max(points | avoid), lambda n: _asked(n + 2, "club")
             )
         sample = close_avoiding(family, avoid, club, points, prefix_depth=depth)
         bound = weak_bound_avoiding(family, avoid, club, sample)

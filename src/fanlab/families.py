@@ -15,8 +15,9 @@ down the recursion (_BoundEngine._stage) gives g and the witness together:
 a successor stage folds h into the max, a limit stage jumps to the first
 club point above and adds escape(beta, lower) + 1 to the witness, where
 lower is the last club point below.  Clubs come from two sources, the
-ladder of gamma shifted by one (_BoundEngine.club_split) or an explicit club
-(_club_split); each splits a limit into the club points on either side.  A
+ladder of gamma shifted by one (_BoundEngine.club_point, whose finite prefix
+derived_club gives) or an explicit club (_club_split); each splits a limit
+into the club points on either side.  A
 SampleClosure records its points, the split they are closed under and the
 ladder-prefix depth, so re-closing it is the whole closure check.
 Witnesses are the structural values for ladder families and sample-evaluated
@@ -42,8 +43,9 @@ from .ordinals import (
 from .walks import CSequence
 
 _DISAGREE_SCAN_LIMIT = 1 << 16
-# Budget of both walks down the club recursion: the points one sample closure
-# collects and the stages one _BoundEngine memoises; past it, GuardExceeded.
+# Budget of both walks down the club recursion: the terms of the points one
+# sample closure collects (points can grow longer as the closure grows) and
+# the stages one _BoundEngine memoises; past it, GuardExceeded.
 MAX_STAGES = 1 << 14
 
 
@@ -227,14 +229,16 @@ def _close(family: FuncFamily, points, prefix_depth: int, club_split) -> frozens
     points club_split(x) gives on either side of x."""
     ladders = _club_ladders(family)
     closed = set()
+    terms = 0
     queue = list(points)
     while queue:
         x = queue.pop()
         if x in closed:
             continue
         closed.add(x)
-        if len(closed) > MAX_STAGES:
-            raise GuardExceeded(f"the sample closure grows past {MAX_STAGES} points")
+        terms += len(x)
+        if terms > MAX_STAGES:
+            raise GuardExceeded(f"the sample closure grows past {MAX_STAGES} terms")
         if x.is_limit:
             queue.extend(ladders.value(x, i) for i in range(prefix_depth))
             lower, upper = club_split(x)
@@ -324,12 +328,14 @@ class _BoundEngine:
         self.ladders = _club_ladders(family)
         self._stages: dict[tuple[Ordinal, Ordinal], tuple[int, int]] = {}
 
+    def club_point(self, gamma: Ordinal, n: int) -> Ordinal:
+        """Point n of the club of gamma: its ladder shifted by one."""
+        return self.ladders.value(gamma, n) + 1
+
     def club_split(self, gamma: Ordinal, beta: Ordinal):
         """(last club point of gamma below beta or None, first one above)."""
         n = self.ladders.first_index_at_least(gamma, beta)
-        upper = self.ladders.value(gamma, n) + 1
-        lower = self.ladders.value(gamma, n - 1) + 1 if n else None
-        return lower, upper
+        return (self.club_point(gamma, n - 1) if n else None), self.club_point(gamma, n)
 
     def escape(self, beta: Ordinal, lower) -> int:
         """Least k with ladder(beta, k) above the club point lower; 0 for None."""
@@ -372,6 +378,14 @@ class _BoundEngine:
     def witness(self, gamma: Ordinal, beta: Ordinal) -> int:
         """n with g_gamma(x) + n > h_beta(x) for all x < beta."""
         return self._stage(gamma, beta)[1]
+
+
+def derived_club(family: FuncFamily, gamma: Ordinal, above, length: Callable) -> tuple:
+    """The first length(n) points of the club of gamma that the recursion
+    uses, n being the index of gamma's first ladder entry above `above`."""
+    engine = _BoundEngine(family)
+    n = engine.ladders.first_index_at_least(gamma, above + 1)
+    return tuple(engine.club_point(gamma, k) for k in range(length(n)))
 
 
 class WeakBound:

@@ -1,9 +1,11 @@
 """Countable ordinals below epsilon_0 in hereditary Cantor normal form.
 
-An ordinal is a sorted tuple of (exponent, coefficient) terms with strictly
+An ordinal is the tuple of its (exponent, coefficient) terms, with strictly
 decreasing exponents (themselves ordinals) and positive coefficients; the
-empty tuple is 0.  The representation is canonical: equal ordinals have
-identical term tuples, so equality, hashing and total order are structural.
+empty tuple is 0.  The form is canonical, so equality and hashing are the
+tuple's own, and so is the total order: tuples compare item by item,
+exponent before coefficient, and a proper prefix is smaller, which is
+Cantor-normal-form order, recursively through the exponents.
 
 The module also provides ladder systems: for every limit ordinal a strictly
 increasing cofinal omega-sequence, either the standard rule-based one, a
@@ -20,15 +22,16 @@ import re
 from .errors import DomainError, OrdinalParseError, ValidationError
 
 
-class Ordinal:
-    """Immutable ordinal below epsilon_0 in Cantor normal form."""
+class Ordinal(tuple):
+    """Immutable ordinal below epsilon_0: the tuple of its Cantor-normal-form
+    terms, so tuple equality, hash and order are those of the ordinal.
 
-    __slots__ = ("terms", "_key", "_hash")
+    It is that tuple in every other respect too: 0 is falsy, len, iteration
+    and indexing give the terms, a slice is a plain tuple of terms, and an
+    ordinal equals the plain tuple of its terms.
+    """
 
-    def __init__(self, terms: tuple = ()):
-        self.terms = tuple(terms)
-        self._key = None
-        self._hash = None
+    __slots__ = ()
 
     # -- construction ------------------------------------------------------
 
@@ -44,8 +47,8 @@ class Ordinal:
     def predecessor(self) -> "Ordinal":
         if not self.is_successor:
             raise DomainError(f"{self} is not a successor")
-        exp, coeff = self.terms[-1]
-        head = self.terms[:-1]
+        exp, coeff = self[-1]
+        head = self[:-1]
         return Ordinal(head + ((exp, coeff - 1),) if coeff > 1 else head)
 
     def __add__(self, n: int) -> "Ordinal":
@@ -56,83 +59,39 @@ class Ordinal:
             raise DomainError("cannot add a negative number")
         if n == 0:
             return self
-        if self.terms and self.terms[-1][0].is_zero:
-            exp, coeff = self.terms[-1]
-            return Ordinal(self.terms[:-1] + ((exp, coeff + n),))
-        return Ordinal(self.terms + ((ZERO, n),))
+        if self and not self[-1][0]:
+            exp, coeff = self[-1]
+            return Ordinal(self[:-1] + ((exp, coeff + n),))
+        return Ordinal((*self, (ZERO, n)))
 
     # -- classification ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     @property
     def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0].is_zero
+        return not self[-1][0] if self else False
 
     @property
     def is_limit(self) -> bool:
-        return bool(self.terms) and not self.terms[-1][0].is_zero
+        return bool(self[-1][0]) if self else False
 
-    # -- order -------------------------------------------------------------
-
-    @property
-    def key(self) -> tuple:
-        """Key whose tuple order is Cantor-normal-form order: term by term,
-        exponent before coefficient, and a proper prefix is smaller."""
-        if self._key is None:
-            self._key = tuple((e.key, c) for e, c in self.terms)
-        return self._key
+    # -- order (otherwise the tuple's own) ---------------------------------
 
     def compare(self, other: "Ordinal") -> int:
         """Total order; returns -1, 0 or 1."""
-        return (self.key > other.key) - (self.key < other.key)
-
-    def __eq__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.key == other.key
-
-    # A non-Ordinal operand has no key: NotImplemented lets Python raise
-    # TypeError, at no cost to the compare of two ordinals.
-    def __lt__(self, other):
-        try:
-            return self.key < other.key
-        except AttributeError:
-            return NotImplemented
-
-    def __le__(self, other):
-        try:
-            return self.key <= other.key
-        except AttributeError:
-            return NotImplemented
-
-    def __gt__(self, other):
-        try:
-            return self.key > other.key
-        except AttributeError:
-            return NotImplemented
-
-    def __ge__(self, other):
-        try:
-            return self.key >= other.key
-        except AttributeError:
-            return NotImplemented
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.terms)
-        return self._hash
+        return (self > other) - (self < other)
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self:
             return "0"
         parts = []
-        for exp, coeff in self.terms:
-            if exp.is_zero:
+        for exp, coeff in self:
+            if not exp:
                 parts.append(str(coeff))
             else:
                 base = "w" if exp == ONE else f"w^({exp})"
@@ -290,8 +249,8 @@ def canonical_ladder(alpha: Ordinal, n: int) -> Ordinal:
         raise DomainError(f"{alpha} is not a limit ordinal")
     if n < 0:
         raise DomainError("ladder index must be a natural number")
-    exp, coeff = alpha.terms[-1]
-    head = alpha.terms[:-1] + (((exp, coeff - 1),) if coeff > 1 else ())
+    exp, coeff = alpha[-1]
+    head = alpha[:-1] + (((exp, coeff - 1),) if coeff > 1 else ())
     if exp.is_successor:
         sub = exp.predecessor()
         return Ordinal(head + ((sub, n),)) if n else Ordinal(head)
@@ -309,13 +268,13 @@ def _canonical_first(alpha: Ordinal, target: Ordinal) -> int:
     reaches it at the least n with e[n] >= d, one later when e[n] = d and
     delta is not w^d itself.
     """
-    exp, coeff = alpha.terms[-1]
-    head = alpha.terms[:-1] + (((exp, coeff - 1),) if coeff > 1 else ())
+    exp, coeff = alpha[-1]
+    head = alpha[:-1] + (((exp, coeff - 1),) if coeff > 1 else ())
     k = len(head)
-    if target.terms[:k] != head or len(target.terms) == k:
+    if target[:k] != head or len(target) == k:
         return 0
-    d, c = target.terms[k]
-    more = len(target.terms) > k + 1
+    d, c = target[k]
+    more = len(target) > k + 1
     if exp.is_successor:
         return 1 if d < exp.predecessor() else c + more
     m = _canonical_first(exp, d)
@@ -434,8 +393,8 @@ class LadderSystem:
         if self.kind == "canonical":
             return _canonical_first(alpha, target)
         p, shift = self._prefix(alpha)
-        finite = not target.terms or target.terms[0][0].is_zero
-        t = target.terms[0][1] if target.terms else 0
+        finite = not target or not target[0][0]
+        t = target[0][1] if target else 0
         if finite and p and t <= self._pool[p - 1]:
             return bisect.bisect_left(self._pool, t, 0, p)
         return p + max(0, _canonical_first(alpha, target) - shift)
@@ -481,14 +440,13 @@ def random_ordinal(rng: random.Random, bound: Ordinal) -> Ordinal:
     """A random ordinal strictly below bound (not uniform, but well spread)."""
     if bound.is_zero:
         raise DomainError("no ordinal lies below 0")
-    exp, coeff = bound.terms[0]
-    rest = Ordinal(bound.terms[1:])
-    if rest.terms and rng.random() < 0.35:
-        tail = random_ordinal(rng, rest)
-        return Ordinal(((exp, coeff),) + tail.terms)
+    exp, coeff = bound[0]
+    rest = Ordinal(bound[1:])
+    if rest and rng.random() < 0.35:
+        return Ordinal(((exp, coeff),) + random_ordinal(rng, rest))
     new_coeff = rng.randrange(coeff)
     head = ((exp, new_coeff),) if new_coeff else ()
-    return Ordinal(head + _random_below_power(rng, exp).terms)
+    return Ordinal(head + _random_below_power(rng, exp))
 
 
 def _random_below_power(rng: random.Random, exp: Ordinal) -> Ordinal:

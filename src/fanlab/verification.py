@@ -20,6 +20,7 @@ from .families import (
     bound_function,
     close_avoiding,
     close_below,
+    derived_club,
     disagreement_index,
     separation_labeling,
     verify_witness,
@@ -476,13 +477,6 @@ def check_bound_extension_monotone(seed: int, cases: int = 60) -> CheckReport:
     return report
 
 
-def _random_club(family: FuncFamily, rng: random.Random, above, bound) -> tuple:
-    """Successor-ordinal club inside the family bound, reaching above `above`."""
-    ladders = family.ladders
-    top = ladders.first_index_at_least(bound, above + 1) + rng.randint(1, 3)
-    return tuple(ladders.value(bound, n) + 1 for n in range(top + 1))
-
-
 @_timed
 def check_weak_bounds(seed: int, cases: int = 100) -> CheckReport:
     rng = random.Random(seed)
@@ -499,7 +493,10 @@ def check_weak_bounds(seed: int, cases: int = 100) -> CheckReport:
         else:
             avoid = {random_limit(rng, W2) for _ in range(rng.randint(1, 5))}
             points = {random_ordinal(rng, W2) for _ in range(rng.randint(3, 8))}
-            club = _random_club(family, rng, max(points | avoid), W3)
+            # the derived club of W3, one to three points past the first above the sample
+            club = derived_club(
+                family, W3, max(points | avoid), lambda n: n + 1 + rng.randint(1, 3)
+            )
             sample = close_avoiding(family, avoid, club, points, prefix_depth=3)
             bound = weak_bound_avoiding(family, avoid, club, sample)
         violations = verify_witness(bound, family)

@@ -82,10 +82,10 @@ class CSequence:
                 current = self.step(alpha, current)
                 count += 1
                 continue
-            c = current.terms[-1][1]
-            head = Ordinal(current.terms[:-1])
+            c = current[-1][1]
+            head = Ordinal(current[:-1])
             if alpha >= head:
-                return count + c - (alpha.terms[-1][1] if alpha > head else 0)
+                return count + c - (alpha[-1][1] if alpha > head else 0)
             current = head
             count += c
         return count

@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -571,6 +573,21 @@ class TestBound:
         assert code == 3 and f"past {MAX_STAGES}" in assert_one_error_line(capsys)
         assert time.perf_counter() - start < 1
 
+    def test_closure_of_ever_longer_points_exits_3_at_once(self, tmp_path, capsys):
+        # below this gamma the closure's points grow longer as it grows, so its
+        # total terms grow quadratically in its points: the budget counts terms
+        family = tmp_path / "explicit.json"
+        family.write_text(
+            json.dumps({"kind": "explicit", "bound": None, "indices": [], "table": []})
+        )
+        start = time.perf_counter()
+        code = main([
+            "bound", "--family", str(family), "--gamma", "w^(w^(w^(w)))",
+            "--points", "2", "--seed", "2",
+        ])
+        assert code == 3 and f"past {MAX_STAGES} terms" in assert_one_error_line(capsys)
+        assert time.perf_counter() - start < 1
+
 
 class TestSpaceCommand:
     def test_json_and_dot(self, capsys, hset):
@@ -969,10 +986,14 @@ class TestParserCache:
 
 
 def test_module_entry_point(tmp_path):
+    # the child process imports the same fanlab sources as this one
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "fanlab", "gen", "--kind", "walk", "--bound", "w^(2)"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["kind"] == "walk"

@@ -444,7 +444,7 @@ class TestBoundRecursion:
         assert engine.g(parse_ordinal("w+9"), o(3)) == 1  # read from the memo
         with pytest.raises(GuardExceeded):
             engine.g(parse_ordinal("w+1"), o(4))  # memoised stages count too
-        with pytest.raises(GuardExceeded, match="sample closure grows past 10 points"):
+        with pytest.raises(GuardExceeded, match="sample closure grows past 10 terms"):
             close_below(family, W2, {parse_ordinal("w*5")}, prefix_depth=2)
 
 

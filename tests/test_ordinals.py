@@ -27,13 +27,13 @@ o = Ordinal.from_int
 
 def _recursive_compare(a: Ordinal, b: Ordinal) -> int:
     """Reference order: Cantor normal forms compared term by term, recursively."""
-    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
+    for (e1, c1), (e2, c2) in zip(a, b):
         c = _recursive_compare(e1, e2)
         if c:
             return c
         if c1 != c2:
             return -1 if c1 < c2 else 1
-    return (len(a.terms) > len(b.terms)) - (len(a.terms) < len(b.terms))
+    return (len(a) > len(b)) - (len(a) < len(b))
 
 
 class TestLiterals:
