@@ -24,14 +24,12 @@ from .errors import (
 from .families import (
     BoundWitness,
     FuncFamily,
-    SampleClosure,
     WeakBound,
     bound_function,
     close_avoiding,
     close_below,
     disagreement_index,
     empirical_witness,
-    is_closed,
     separation_labeling,
     verify_witness,
     weak_bound_avoiding,

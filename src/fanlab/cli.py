@@ -34,8 +34,6 @@ from .cdw import HFamily, sum_threshold_family
 from .errors import ClosureError, DomainError, GuardExceeded, OrdinalParseError, ValidationError
 from .families import (
     FuncFamily,
-    close_avoiding,
-    close_below,
     derived_club,
     verify_witness,
     weak_bound_avoiding,
@@ -139,11 +137,13 @@ def _coerce_indices(values, ordinal: bool) -> list:
 STALE_DRAW_LIMIT = 1000
 # The most indices, sample points, probes or ladder prefix steps that a flag or
 # an index spec may ask for.  Work and memory grow with these counts, so more
-# exit 3 at once.
+# exit 3 at once; a count below 0 exits 5.
 MAX_ASKED = 1 << 12
 
 
 def _asked(count: int | None, what: str) -> int | None:
+    if count is not None and count < 0:
+        raise ValidationError(f"{what} asks for {count}, a negative count")
     if count is not None and count > MAX_ASKED:
         raise GuardExceeded(f"{what} asks for {count}, more than {MAX_ASKED}")
     return count
@@ -169,8 +169,8 @@ def _random_points(rng: random.Random, bound, count: int) -> list:
     return sorted(points)
 
 
-def _parse_index_spec(spec, bound, seed: int, ordinal: bool = False) -> list:
-    """'first:N', 'random:N', or a comma-separated list of index literals."""
+def _parse_index_spec(spec, bound=None, seed: int | None = None, ordinal: bool = False) -> list:
+    """'first:N', 'random:N' (with a bound), or a comma-separated list of index literals."""
     if isinstance(spec, list):
         return _coerce_indices([parse_index(str(s)) for s in spec], ordinal)
     mode, colon, count = spec.partition(":")
@@ -178,9 +178,10 @@ def _parse_index_spec(spec, bound, seed: int, ordinal: bool = False) -> list:
         if bound is None:
             raise ValidationError(f"'{mode}:N' needs an ordinal bound")
         try:
-            n = _asked(int(count), spec)
+            n = int(count)
         except ValueError:
             raise ValidationError(f"bad index spec {spec!r}: N must be an integer") from None
+        _asked(n, spec)
         if mode == "first":
             return first_limits(bound, n)
         return _random_points(random.Random(seed), bound, n)
@@ -195,11 +196,11 @@ def _family_uses_ordinals(family: FuncFamily) -> bool:
     )
 
 
-def _subset(args, config, h: HFamily, seed: int) -> list:
+def _subset(args, config, h: HFamily) -> list:
     spec = _setting(args, config, "subset")
     if spec is None:
         return list(h.indices)
-    values = _parse_index_spec(spec, None, seed, ordinal=_wants_ordinals(h.indices))
+    values = _parse_index_spec(spec, ordinal=_wants_ordinals(h.indices))
     for v in values:
         h.position(v)
     return values
@@ -241,10 +242,9 @@ def cmd_gen(args, config) -> tuple:
 def cmd_eval(args, config) -> tuple:
     family = _load(args, config, "family", FuncFamily.from_json)
     ordinal = _family_uses_ordinals(family)
-    if args.alpha is not None and args.beta is not None:
-        alpha, beta = _coerce_indices(
-            [parse_index(args.alpha), parse_index(args.beta)], ordinal
-        )
+    alpha, beta = (_setting(args, config, key) for key in ("alpha", "beta"))
+    if alpha is not None and beta is not None:
+        alpha, beta = _coerce_indices([parse_index(alpha), parse_index(beta)], ordinal)
         doc = {
             "alpha": index_to_json(alpha),
             "beta": index_to_json(beta),
@@ -287,8 +287,7 @@ def cmd_hset(args, config) -> tuple:
 
 def cmd_separate(args, config) -> tuple:
     h = _load(args, config, "hset", HFamily.from_json)
-    seed = _setting(args, config, "seed", 0)
-    A = _subset(args, config, h, seed)
+    A = _subset(args, config, h)
     cap = _setting(args, config, "cap", 0)
     engine = _setting(args, config, "engine", "solver")
     start = time.perf_counter()
@@ -313,8 +312,7 @@ def cmd_separate(args, config) -> tuple:
 
 def cmd_mincap(args, config) -> tuple:
     h = _load(args, config, "hset", HFamily.from_json)
-    seed = _setting(args, config, "seed", 0)
-    A = _subset(args, config, h, seed)
+    A = _subset(args, config, h)
     start = time.perf_counter()
     cap = min_cap(h, A)
     witness = solve_separation(h, A, cap).witness
@@ -350,12 +348,11 @@ def _load_labels(path: str, ordinal: bool) -> dict:
 
 def cmd_adversary(args, config) -> tuple:
     h = _load(args, config, "hset", HFamily.from_json)
-    seed = _setting(args, config, "seed", 0)
     ordinal = _wants_ordinals(h.indices)
     specs = [_setting(args, config, key) for key in ("first", "second")]
     if None in specs:
         raise ValidationError("adversary needs --first and --second")
-    first, second = (_parse_index_spec(spec, None, seed, ordinal=ordinal) for spec in specs)
+    first, second = (_parse_index_spec(spec, ordinal=ordinal) for spec in specs)
     if set(first) & set(second):
         raise ValidationError("the two sets must be disjoint")
     labels_path = _setting(args, config, "labels")
@@ -392,8 +389,7 @@ def cmd_bound(args, config) -> tuple:
     if gamma_text is not None:
         gamma = parse_ordinal(gamma_text)
         points = {random_ordinal(rng, gamma) for _ in range(count)}
-        sample = close_below(family, gamma, points, prefix_depth=depth)
-        bound = weak_bound_below(family, gamma, sample)
+        bound = weak_bound_below(family, gamma, points, prefix_depth=depth)
         mode = {"mode": "below", "gamma": str(gamma)}
     else:
         if family.bound is None or not family.bound.is_limit:
@@ -413,8 +409,7 @@ def cmd_bound(args, config) -> tuple:
             club = derived_club(
                 family, family.bound, max(points | avoid), lambda n: _asked(n + 2, "club")
             )
-        sample = close_avoiding(family, avoid, club, points, prefix_depth=depth)
-        bound = weak_bound_avoiding(family, avoid, club, sample)
+        bound = weak_bound_avoiding(family, avoid, club, points, prefix_depth=depth)
         mode = {
             "mode": "avoiding",
             "avoid": [str(b) for b in sorted(avoid)],
@@ -439,8 +434,7 @@ def cmd_bound(args, config) -> tuple:
 
 def cmd_space(args, config) -> tuple:
     h = _load(args, config, "hset", HFamily.from_json)
-    seed = _setting(args, config, "seed", 0)
-    A = _subset(args, config, h, seed)
+    A = _subset(args, config, h)
     space = build_space(h, A)
     fmt = _setting(args, config, "format", "json")
     depth_k = _setting(args, config, "depth_k", 0)
@@ -454,6 +448,7 @@ def _parse_schedule(spec: str, bound, seed: int) -> list[list]:
         lo, hi = (int(part) for part in span.split("..", 1))
     except ValueError as exc:
         raise ValidationError(f"bad schedule {spec!r}: {exc}") from exc
+    _asked(lo, spec)
     _asked(hi, spec)
     if mode not in ("first", "random"):
         raise ValidationError(f"unknown schedule mode {mode!r}")

@@ -7,21 +7,19 @@ families (h_beta(alpha) is the first index where the ladders of alpha and
 beta differ, 0 unless both are limits), and explicit finite tables.
 
 g weakly bounds h with witness n when g(x) + n > h(x) on the common domain.
-The module constructs, for a limit gamma, a function g bounding every
-h_beta with beta < gamma by the club recursion (pointwise max at successor
-stages, jump to the next club point at limit stages), plus the variant that
-bounds {h_beta : beta in A} using a club disjoint from A.  One memoised walk
-down the recursion (_BoundEngine._stage) gives g and the witness together:
-a successor stage folds h into the max, a limit stage jumps to the first
-club point above and adds escape(beta, lower) + 1 to the witness, where
-lower is the last club point below.  Clubs come from two sources, the
-ladder of gamma shifted by one (_BoundEngine.club_point, whose finite prefix
-derived_club gives) or an explicit club (_club_split); each splits a limit
-into the club points on either side.  A
-SampleClosure records its points, the split they are closed under and the
-ladder-prefix depth, so re-closing it is the whole closure check.
-Witnesses are the structural values for ladder families and sample-evaluated
-maxima otherwise; both are checked exhaustively on the certification sample.
+weak_bound_below builds, for a limit gamma, a g bounding every h_beta with
+beta < gamma by the club recursion (pointwise max at successor stages, jump
+to the next club point at limit stages); weak_bound_avoiding bounds
+{h_beta : beta in A} through a club disjoint from A.  Each closes its points
+itself (close_below, close_avoiding: under ladder prefixes and the club
+points on either side of every limit) and certifies on that frozenset.  The
+club is gamma's ladder shifted by one (_BoundEngine.club_split; derived_club
+gives a finite prefix) or an explicit one (_club_split).  WeakBound is the
+top limit stage in both modes: a limit x jumps to the first club point above
+it and adds escape(x, lower) + 1 to the witness, lower the last club point
+below.  Every stage under it is the memoised walk of _BoundEngine._stage.
+Witnesses are the recursion's for ladder families and sample maxima
+otherwise; verify_witness checks both on the certification sample.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from typing import Callable
 
 from .errors import ClosureError, DomainError, GuardExceeded, ValidationError
 from .ordinals import (
+    ZERO,
     LadderSystem,
     Ordinal,
     check_index_kinds,
@@ -81,6 +80,8 @@ class FuncFamily:
     def explicit(cls, table: dict, bound=None, indices=(), default: int = 0) -> "FuncFamily":
         keys = set(indices).union(*table)
         check_index_kinds(keys)
+        if isinstance(bound, Ordinal) and any(isinstance(k, int) for k in keys):
+            raise ValidationError(f"integer indices cannot lie below the ordinal bound {bound}")
         for (a, b), v in table.items():
             if not a < b:
                 raise ValidationError(f"table key ({a}, {b}) is not increasing")
@@ -201,29 +202,6 @@ def separation_labeling(family: FuncFamily, gamma, sample) -> dict:
 # -- certification samples ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SampleClosure:
-    """Finite set of ordinals closed under the maps a construction consults:
-    ladder prefixes of length prefix_depth at every limit, and the club points
-    club_split(x) gives on either side of every limit x."""
-
-    points: frozenset
-    club_split: Callable
-    prefix_depth: int
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __contains__(self, x):
-        return x in self.points
-
-    def __len__(self):
-        return len(self.points)
-
-    def sorted(self) -> list[Ordinal]:
-        return sorted(self.points)
-
-
 def _close(family: FuncFamily, points, prefix_depth: int, club_split) -> frozenset:
     """Close points under ladder prefixes and, at each limit x, under the club
     points club_split(x) gives on either side of x."""
@@ -248,9 +226,7 @@ def _close(family: FuncFamily, points, prefix_depth: int, club_split) -> frozens
     return frozenset(closed)
 
 
-def close_below(
-    family: FuncFamily, gamma: Ordinal, points, prefix_depth: int = 4
-) -> SampleClosure:
+def close_below(family: FuncFamily, gamma: Ordinal, points, prefix_depth: int = 4) -> frozenset:
     """Close a point set below gamma under ladder prefixes and club jumps."""
     if not gamma.is_limit:
         raise DomainError(f"{gamma} is not a limit ordinal")
@@ -259,25 +235,15 @@ def close_below(
     for x in points:
         if not x < gamma:
             raise DomainError(f"sample point {x} is not below {gamma}")
-    split = partial(_BoundEngine(family).club_split, gamma)
-    return SampleClosure(_close(family, points, prefix_depth, split), split, prefix_depth)
+    return _close(family, points, prefix_depth, partial(_BoundEngine(family).club_split, gamma))
 
 
-def close_avoiding(
-    family: FuncFamily, avoid, club, points, prefix_depth: int = 4
-) -> SampleClosure:
-    """Close a point set under ladder prefixes and jumps through an explicit club."""
+def close_avoiding(family: FuncFamily, avoid, club, points, prefix_depth: int = 4) -> frozenset:
+    """Close a point set and the avoided set under ladder prefixes and jumps
+    through an explicit club."""
     avoid = frozenset(avoid)
     split = partial(_club_split, _explicit_club(club, avoid))
-    return SampleClosure(
-        _close(family, set(points) | avoid, prefix_depth, split), split, prefix_depth
-    )
-
-
-def is_closed(family: FuncFamily, closure: SampleClosure) -> bool:
-    """Idempotence check: re-closing the point set adds nothing."""
-    points = closure.points
-    return _close(family, points, closure.prefix_depth, closure.club_split) == points
+    return _close(family, set(points) | avoid, prefix_depth, split)
 
 
 def _explicit_club(club, avoid) -> tuple:
@@ -389,24 +355,37 @@ def derived_club(family: FuncFamily, gamma: Ordinal, above, length: Callable) ->
 
 
 class WeakBound:
-    """Lazily evaluable bound function produced by the club recursion."""
+    """g as the top limit stage of the club recursion, below top: 1 off the
+    limits, else the engine's stage at the club point split(x)[1] above x,
+    whose witness gains escape(x, lower) + 1."""
 
-    def __init__(self, engine: _BoundEngine, gamma: Ordinal | None, club: tuple = ()):
+    def __init__(self, engine: _BoundEngine, split: Callable, top: Ordinal):
         self._engine = engine
-        self.gamma = gamma
-        self.club = club
+        self._split = split
+        self.top = top
+
+    def _check(self, x: Ordinal) -> None:
+        if not x < self.top:
+            raise DomainError(f"{x} is not below {self.top}")
 
     def __call__(self, x: Ordinal) -> int:
-        if self.gamma is not None:
-            return self._engine.g(self.gamma, x)
+        self._check(x)
         if not x.is_limit:
             return 1
-        return self._engine.g(_club_split(self.club, x)[1], x)
+        return self._engine.g(self._split(x)[1], x)
+
+    def witness(self, beta: Ordinal) -> int:
+        """n with g(x) + n > h_beta(x) for all x < beta."""
+        self._check(beta)
+        if not beta.is_limit:
+            return 1
+        lower, upper = self._split(beta)
+        return self._engine.escape(beta, lower) + 1 + self._engine.witness(upper, beta)
 
 
-def bound_function(family: FuncFamily, gamma: Ordinal) -> WeakBound:
-    """The recursion's g_gamma as a standalone evaluable function."""
-    return WeakBound(_BoundEngine(family), gamma)
+def bound_function(family: FuncFamily, gamma: Ordinal) -> Callable[[Ordinal], int]:
+    """The recursion's g_gamma as a standalone evaluable function, for any gamma."""
+    return partial(_BoundEngine(family).g, gamma)
 
 
 @dataclass(frozen=True)
@@ -424,51 +403,43 @@ class BoundWitness:
         }
 
 
-def _certify(
-    family: FuncFamily, sample: SampleClosure, g: WeakBound, betas, structural
-) -> BoundWitness:
-    """Witnesses for h_beta against g, for beta in betas: structural(beta) for
+def _certify(family: FuncFamily, sample: frozenset, g: WeakBound, betas) -> BoundWitness:
+    """Witnesses for h_beta against g, for beta in betas: the recursion's for
     ladder families, else the least n that works on the sample."""
-    if not is_closed(family, sample):
-        raise ClosureError("the certification sample is not closed")
     witness = {}
     for beta in betas:
         if family.kind == "ladder":
-            witness[beta] = structural(beta)
+            witness[beta] = g.witness(beta)
         else:
-            excess = [family.value(x, beta) - g(x) for x in sample.points if x < beta]
+            excess = [family.value(x, beta) - g(x) for x in sample if x < beta]
             witness[beta] = max([0, *excess]) + 1
-    return BoundWitness(g, witness, sample.points)
+    return BoundWitness(g, witness, sample)
 
 
-def weak_bound_below(family: FuncFamily, gamma: Ordinal, sample: SampleClosure) -> BoundWitness:
-    """Bound every h_beta with beta < gamma; witnesses certified on the sample."""
-    if not gamma.is_limit:
-        raise DomainError(f"{gamma} is not a limit ordinal")
+def weak_bound_below(
+    family: FuncFamily, gamma: Ordinal, points, prefix_depth: int = 4
+) -> BoundWitness:
+    """Bound every h_beta with beta < gamma; witnesses certified on the
+    closure of the points."""
+    sample = close_below(family, gamma, points, prefix_depth)
     engine = _BoundEngine(family)
-    return _certify(
-        family, sample, WeakBound(engine, gamma), sample.sorted(),
-        lambda beta: engine.witness(gamma, beta),
-    )
+    g = WeakBound(engine, partial(engine.club_split, gamma), gamma)
+    return _certify(family, sample, g, sorted(sample))
 
 
 def weak_bound_avoiding(
-    family: FuncFamily, avoid, club, sample: SampleClosure
+    family: FuncFamily, avoid, club, points, prefix_depth: int = 4
 ) -> BoundWitness:
-    """Bound {h_beta : beta in avoid} through a club disjoint from it."""
-    avoid = tuple(sorted(set(avoid)))
-    club = _explicit_club(club, avoid)
+    """Bound {h_beta : beta in avoid} through a club disjoint from it;
+    witnesses certified on the closure of the points and the avoided set."""
+    avoid = sorted(set(avoid))
+    sample = close_avoiding(family, avoid, club, points, prefix_depth)
     for beta in avoid:
         if not beta.is_limit:
             raise DomainError(f"{beta} is not a limit ordinal")
-    engine = _BoundEngine(family)
-
-    def limit_stage(beta):
-        # the engine's limit stage, with the split read off the explicit club
-        lower, upper = _club_split(club, beta)
-        return engine.escape(beta, lower) + 1 + engine.witness(upper, beta)
-
-    return _certify(family, sample, WeakBound(engine, None, club), avoid, limit_stage)
+    club = _explicit_club(club, avoid)
+    g = WeakBound(_BoundEngine(family), partial(_club_split, club), club[-1] if club else ZERO)
+    return _certify(family, sample, g, avoid)
 
 
 def verify_witness(bound: BoundWitness, family: FuncFamily, sample=None) -> list[tuple]:

@@ -50,9 +50,6 @@ class CombSpace:
             for gamma, pairs in incident.items()
         }
 
-    def position(self, value) -> int:
-        return self.indices.index(value)
-
     def incident(self, gamma, k: int | None = None) -> tuple:
         """The isolated points naming gamma, with coordinate >= k there if k is given."""
         depths, points = self._incident.get(gamma, ((), ()))

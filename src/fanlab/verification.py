@@ -18,8 +18,6 @@ from .errors import DomainError
 from .families import (
     FuncFamily,
     bound_function,
-    close_avoiding,
-    close_below,
     derived_club,
     disagreement_index,
     separation_labeling,
@@ -488,8 +486,7 @@ def check_weak_bounds(seed: int, cases: int = 100) -> CheckReport:
             while gamma <= OMEGA:
                 gamma = random_limit(rng, W3)
             points = {random_ordinal(rng, gamma) for _ in range(rng.randint(3, 8))}
-            sample = close_below(family, gamma, points, prefix_depth=3)
-            bound = weak_bound_below(family, gamma, sample)
+            bound = weak_bound_below(family, gamma, points, prefix_depth=3)
         else:
             avoid = {random_limit(rng, W2) for _ in range(rng.randint(1, 5))}
             points = {random_ordinal(rng, W2) for _ in range(rng.randint(3, 8))}
@@ -497,8 +494,7 @@ def check_weak_bounds(seed: int, cases: int = 100) -> CheckReport:
             club = derived_club(
                 family, W3, max(points | avoid), lambda n: n + 1 + rng.randint(1, 3)
             )
-            sample = close_avoiding(family, avoid, club, points, prefix_depth=3)
-            bound = weak_bound_avoiding(family, avoid, club, sample)
+            bound = weak_bound_avoiding(family, avoid, club, points, prefix_depth=3)
         violations = verify_witness(bound, family)
         if violations:
             report.failures.append(f"case {case}: {violations[:3]}")

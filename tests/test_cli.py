@@ -102,6 +102,20 @@ class TestEval:
             b = parse_ordinal(doc["indices"][j])
             assert family.value(a, b) == value
 
+    def test_integer_indices_below_an_ordinal_bound_exit_5(self, tmp_path, capsys):
+        family = tmp_path / "explicit.json"
+        family.write_text(json.dumps({
+            "kind": "explicit", "bound": "w", "indices": [0, 1, 2],
+            "table": [[0, 1, 3], [1, 2, 4]], "default": 0,
+        }))
+        for argv in (
+            ["gen", "--kind", "explicit", "--table", str(family)],
+            ["eval", "--family", str(family), "--alpha", "0", "--beta", "1"],
+            ["hset", "--family", str(family), "--indices", "0,1,2"],
+        ):
+            assert main(argv) == 5
+            assert "integer indices" in assert_one_error_line(capsys)
+
     def test_long_successor_walk(self, capsys, walk_family):
         code, out = run(capsys, "eval", "--family", str(walk_family), "--indices", "w,w+200000")
         assert code == 0
@@ -222,28 +236,41 @@ class TestLiteralLimits:
             assert "5000 digits" in assert_one_error_line(capsys)
 
 
+# Each argv asks for a count where "{}" stands.
+COUNT_ARGVS = [
+    ["eval", "--indices", "first:{}"],
+    ["eval", "--indices", "random:{}"],
+    ["growth", "--schedule", "first:2..{}"],
+    ["growth", "--schedule", "first:{}..3"],
+    ["bound", "--gamma", "w*2", "--points", "{}"],
+    ["bound", "--gamma", "w*2", "--prefix-depth", "{}"],
+    ["bound", "--gamma", "w*2", "--probe", "{}"],
+    ["bound", "--avoid", "w", "--club", "first:{}"],
+]
+
+
 class TestCountBudget:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["eval", "--indices", "first:{}"],
-            ["eval", "--indices", "random:{}"],
-            ["growth", "--schedule", "first:2..{}"],
-            ["bound", "--gamma", "w*2", "--points", "{}"],
-            ["bound", "--gamma", "w*2", "--prefix-depth", "{}"],
-            ["bound", "--gamma", "w*2", "--probe", "{}"],
-            ["bound", "--avoid", "w", "--club", "first:{}"],
-        ],
-    )
-    def test_counts_beyond_the_budget_exit_3(self, capsys, monkeypatch, tmp_path, argv):
-        family = tmp_path / "lad.json"
-        assert main(["gen", "--kind", "ladder", "--bound", "w^(2)", "--out", str(family)]) == 0
+    @pytest.fixture
+    def family(self, tmp_path):
+        path = tmp_path / "lad.json"
+        assert main(["gen", "--kind", "ladder", "--bound", "w^(2)", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("argv", COUNT_ARGVS)
+    def test_counts_beyond_the_budget_exit_3(self, capsys, monkeypatch, family, argv):
         monkeypatch.setattr(cli, "MAX_ASKED", 8)
         command, *flags = argv
         for count in (8, 9, 10**13):
             code = main([command, "--family", str(family), *(f.format(count) for f in flags)])
             err = capsys.readouterr().err
             assert (code == 3) == (count > 8), err
+
+    @pytest.mark.parametrize("argv", COUNT_ARGVS)
+    def test_negative_counts_exit_5(self, capsys, family, argv):
+        command, *flags = argv
+        code = main([command, "--family", str(family), *(f.format(-1) for f in flags)])
+        assert code == 5
+        assert "a negative count" in assert_one_error_line(capsys)
 
 
 class TestHset:
@@ -660,6 +687,13 @@ class TestConfigFile:
         code, out = run(capsys, "separate", "--config", str(config))
         assert code == 0
         assert json.loads(out)["status"] == "separated"
+
+    def test_config_supplies_alpha_and_beta(self, tmp_path, capsys, walk_family):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": "w", "beta": "w*2"}))
+        flags = run(capsys, "eval", "--family", str(walk_family), "--alpha", "w", "--beta", "w*2")
+        assert run(capsys, "eval", "--family", str(walk_family), "--config", str(config)) == flags
+        assert flags[0] == 0
 
     def test_flags_override_config(self, tmp_path, capsys, hset):
         config = tmp_path / "config.json"

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -22,7 +21,6 @@ from fanlab import (
     close_below,
     disagreement_index,
     empirical_witness,
-    is_closed,
     parse_ordinal,
     random_limit,
     random_ordinal,
@@ -34,7 +32,7 @@ from fanlab import (
     weak_bound_below,
 )
 from fanlab import families
-from fanlab.families import SampleClosure, _BoundEngine, _club_split
+from fanlab.families import WeakBound, _BoundEngine, _club_split
 from conftest import ordinals
 
 o = Ordinal.from_int
@@ -79,6 +77,13 @@ class TestEval:
             FuncFamily.explicit({(1, 0): 2})
         with pytest.raises(ValidationError):
             FuncFamily.explicit({(0, 1): -1})
+
+    def test_explicit_refuses_integer_indices_below_an_ordinal_bound(self):
+        with pytest.raises(ValidationError, match="integer indices"):
+            FuncFamily.explicit({(0, 1): 3}, bound=OMEGA)
+        with pytest.raises(ValidationError, match="integer indices"):
+            FuncFamily.explicit({}, bound=OMEGA, indices=[0, 1, 2])
+        assert FuncFamily.explicit({(0, 1): 3}).value(0, 1) == 3
 
     def test_json_round_trip(self):
         for family in (
@@ -181,18 +186,16 @@ class TestClosures:
         rng = random.Random(11)
         gamma = parse_ordinal("w^(2)*2")
         sample = close_below(family, gamma, {random_ordinal(rng, gamma) for _ in range(6)})
-        assert is_closed(family, sample)
-        again = close_below(family, gamma, sample.points)
-        assert again.points == sample.points
+        assert close_below(family, gamma, sample) == sample
 
     def test_limits_bring_both_club_neighbours(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W3)
         # below w^(2) the club is 1, w+1, w*2+1, ...; w*2 and w sit between
         below = close_below(family, W2, {w2}, prefix_depth=1)
-        assert below.points == {w2, OMEGA, w2 + 1, OMEGA + 1, o(0), o(1)}
+        assert below == {w2, OMEGA, w2 + 1, OMEGA + 1, o(0), o(1)}
         club = (o(3), o(9), OMEGA + 1, w2 + 1)
         avoiding = close_avoiding(family, {OMEGA}, club, set(), prefix_depth=1)
-        assert avoiding.points == {OMEGA, o(0), o(9), OMEGA + 1}
+        assert avoiding == {OMEGA, o(0), o(9), OMEGA + 1}
 
     def test_points_must_lie_below_gamma(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W3)
@@ -201,7 +204,7 @@ class TestClosures:
 
     def test_gamma_must_not_pass_the_family_bound(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)
-        assert close_below(family, W2, {o(1)}).points
+        assert close_below(family, W2, {o(1)})
         with pytest.raises(DomainError, match="above the family bound"):
             close_below(family, W3, {o(1)})
 
@@ -250,9 +253,8 @@ class TestWeakBoundBelow:
     def test_degenerate_family_below_w2(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)
         gamma = w2
-        sample = close_below(family, gamma, {OMEGA, o(3), o(12)})
-        bound = weak_bound_below(family, gamma, sample)
-        assert all(bound.g(x) == 1 for x in sample.points)
+        bound = weak_bound_below(family, gamma, {OMEGA, o(3), o(12)})
+        assert all(bound.g(x) == 1 for x in bound.certified_on)
         # every h_beta vanishes here; successor witnesses are 1 and the witness
         # at w picks up the club-escape index k=0 plus the recursive 1
         assert all(n in (1, 2) for n in bound.witness.values())
@@ -267,8 +269,9 @@ class TestWeakBoundBelow:
             while gamma <= OMEGA:
                 gamma = random_limit(rng, W3)
             points = {random_ordinal(rng, gamma) for _ in range(10)}
-            sample = close_below(family, gamma, points, prefix_depth=3)
-            bound = weak_bound_below(family, gamma, sample)
+            bound = weak_bound_below(family, gamma, points, prefix_depth=3)
+            # the bound certifies on the closure of its points
+            assert bound.certified_on == close_below(family, gamma, points, prefix_depth=3)
             assert verify_witness(bound, family) == []
 
     def test_explicit_family_uses_sample_witnesses(self):
@@ -280,36 +283,51 @@ class TestWeakBoundBelow:
         }
         family = FuncFamily.explicit(table, bound=W2, indices=indices)
         gamma = parse_ordinal("w*5")
-        sample = close_below(family, gamma, set(indices))
-        bound = weak_bound_below(family, gamma, sample)
-        for beta in sample.points:
-            for alpha in sample.points:
+        bound = weak_bound_below(family, gamma, set(indices))
+        for beta in bound.certified_on:
+            for alpha in bound.certified_on:
                 if alpha < beta:
                     assert bound.g(alpha) + bound.witness[beta] > family.value(alpha, beta)
 
-    def test_rejects_unclosed_samples(self):
-        family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)
-        closed = close_below(family, w2, {OMEGA, o(4)})
-        # removing an interior point can break closure only if it was required;
-        # drop a ladder-prefix point instead, which always is
-        prefix_point = min(closed.points)
-        broken = replace(closed, points=closed.points - {prefix_point})
-        with pytest.raises(ClosureError):
-            weak_bound_below(family, w2, broken)
-
     def test_rejects_non_limit_gamma(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)
-        sample = close_below(family, w2, {o(1)})
         with pytest.raises(DomainError):
-            weak_bound_below(family, w2 + 1, sample)
+            weak_bound_below(family, w2 + 1, {o(1)})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 60))
+    def test_the_top_stage_is_the_engine_stage_at_gamma(self, seed, ladder_seed):
+        # WeakBound through gamma's split is the engine's limit stage at gamma,
+        # for g and for the witness.
+        rng = random.Random(seed)
+        family = FuncFamily.ladder_disagreement(LadderSystem.seeded(ladder_seed), W3)
+        gamma = random_limit(rng, W3)
+        engine = _BoundEngine(family)
+        g = WeakBound(_BoundEngine(family), partial(engine.club_split, gamma), gamma)
+        for _ in range(6):
+            # w is the only limit with no limit below it
+            limit = gamma > OMEGA and rng.random() < 0.6
+            x = random_limit(rng, gamma) if limit else random_ordinal(rng, gamma)
+            assert g(x) == engine.g(gamma, x)
+            assert g.witness(x) == engine.witness(gamma, x)
+
+    def test_g_and_witness_refuse_points_outside_their_domain(self):
+        family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)
+        below = weak_bound_below(family, w2, {o(1)}).g
+        club = (o(3), OMEGA + 1)
+        avoiding = weak_bound_avoiding(family, {OMEGA}, club, {o(1)}).g
+        assert below(OMEGA) >= 1 and avoiding(OMEGA) >= 1
+        for g, top in ((below, w2), (avoiding, OMEGA + 1)):
+            for x, method in itertools.product((top, top + 1, W2), (g, g.witness)):
+                with pytest.raises(DomainError, match="is not below"):
+                    method(x)
 
 
 class TestWeakBoundAvoiding:
     def test_empty_avoid_set_is_vacuous(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)
         club = tuple(o(n + 1) for n in range(10)) + (OMEGA + 1, w2 + 1)
-        sample = close_avoiding(family, set(), club, {o(2), OMEGA})
-        bound = weak_bound_avoiding(family, set(), club, sample)
+        bound = weak_bound_avoiding(family, set(), club, {o(2), OMEGA})
         assert bound.witness == {}
         assert verify_witness(bound, family) == []
 
@@ -317,8 +335,7 @@ class TestWeakBoundAvoiding:
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)
         club = tuple(o(n + 1) for n in range(9)) + (OMEGA + 1, OMEGA + 5, w2 + 1)
         points = {o(2), o(7), OMEGA, OMEGA + 3}
-        sample = close_avoiding(family, {OMEGA}, club, points)
-        bound = weak_bound_avoiding(family, {OMEGA}, club, sample)
+        bound = weak_bound_avoiding(family, {OMEGA}, club, points)
         assert verify_witness(bound, family) == []
         # the last club point below w is 9, so the ladder of w first clears it
         # at k=10; the recursive witness is 1 and the final +1 gives 12
@@ -333,10 +350,11 @@ class TestWeakBoundAvoiding:
             ladders = family.ladders
             top = ladders.first_index_at_least(W3, max(points | avoid) + 1)
             club = tuple(ladders.value(W3, n) + 1 for n in range(top + 2))
-            sample = close_avoiding(family, avoid, club, points, prefix_depth=3)
-            bound = weak_bound_avoiding(family, avoid, club, sample)
+            bound = weak_bound_avoiding(family, avoid, club, points, prefix_depth=3)
+            closed = close_avoiding(family, avoid, club, points, prefix_depth=3)
+            assert bound.certified_on == closed
             assert verify_witness(bound, family) == []
-            smaller = {x for x in sample.points if rng.random() < 0.6}
+            smaller = {x for x in bound.certified_on if rng.random() < 0.6}
             assert verify_witness(bound, family, smaller) == []
 
     @settings(max_examples=150, deadline=None)
@@ -352,8 +370,7 @@ class TestWeakBoundAvoiding:
         ladders = family.ladders
         top = ladders.first_index_at_least(W3, max(points | avoid) + 1)
         club = tuple(ladders.value(W3, n) + 1 for n in range(top + 2))
-        sample = close_avoiding(family, avoid, club, points, prefix_depth=3)
-        bound = weak_bound_avoiding(family, avoid, club, sample)
+        bound = weak_bound_avoiding(family, avoid, club, points, prefix_depth=3)
         engine = _BoundEngine(family)
         assert bound.witness == {beta: engine.witness(W3, beta) for beta in avoid}
         assert verify_witness(bound, family) == []
@@ -361,9 +378,8 @@ class TestWeakBoundAvoiding:
     def test_rejects_overlapping_club(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)
         club = (OMEGA, w2 + 1)
-        sample = SampleClosure(frozenset({o(1)}), partial(_club_split, club), 3)
         with pytest.raises(ClosureError):
-            weak_bound_avoiding(family, {OMEGA}, club, sample)
+            weak_bound_avoiding(family, {OMEGA}, club, {o(1)})
 
 
 class TestVerifyWitness:
@@ -381,9 +397,8 @@ class TestVerifyWitness:
         rng = random.Random(14)
         family = FuncFamily.ladder_disagreement(LadderSystem.seeded(77), W3)
         gamma = parse_ordinal("w^(2)*3")
-        sample = close_below(family, gamma, {random_ordinal(rng, gamma) for _ in range(6)})
-        bound = weak_bound_below(family, gamma, sample)
-        bigger = set(sample.points) | {random_ordinal(rng, gamma) for _ in range(30)}
+        bound = weak_bound_below(family, gamma, {random_ordinal(rng, gamma) for _ in range(6)})
+        bigger = set(bound.certified_on) | {random_ordinal(rng, gamma) for _ in range(30)}
         violations = verify_witness(bound, family, bigger)
         assert isinstance(violations, list)  # empirical: content not asserted
 

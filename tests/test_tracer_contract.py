@@ -47,3 +47,32 @@ def test_traced_query_prints_what_the_untraced_one_does(tmp_path, capsys):
     finally:
         tracer.uninstall()
     assert capsys.readouterr().out == untraced
+
+
+def test_traced_bounds_close_their_sample_once(tmp_path, capsys):
+    # The tracer rebinds close_below and close_avoiding by name, so each bound
+    # run must reach its closure through those names, once.
+    family = tmp_path / "ladder.json"
+    gen = ["gen", "--kind", "ladder", "--bound", "w^(3)", "--ladders", "seeded", "--seed", "7"]
+    assert cli.main([*gen, "--out", str(family)]) == 0
+    runs = [
+        ["bound", "--family", str(family), "--gamma", "w^(2)*2", "--probe", "4", "--seed", "3"],
+        ["bound", "--family", str(family), "--avoid", "w*2,w^(2)+w", "--seed", "3"],
+    ]
+    for argv in runs:
+        assert cli.main(argv) == 0
+    untraced = capsys.readouterr().out
+    tracer = _tracer()
+    tracer.install()
+    try:
+        for argv in runs:
+            assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == untraced
+    counts = tracer.counts
+    assert counts["families.close.calls"] == counts["families.weak_bound.calls"] == 2
+    assert counts["families.closure_points"] > 0
+    assert counts["families.bound_eval.calls"] > 0
+    recorded = {tracer.names[i] for i in tracer.name_id}
+    assert {"families.close", "families.weak_bound"} <= recorded
