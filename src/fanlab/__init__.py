@@ -29,7 +29,6 @@ from .families import (
     close_avoiding,
     close_below,
     disagreement_index,
-    empirical_witness,
     separation_labeling,
     verify_witness,
     weak_bound_avoiding,

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 from .errors import DomainError, GuardExceeded, ValidationError
 from .families import FuncFamily
-from .ordinals import MAX_DIGITS, check_index_kinds, index_from_json, index_to_json
+from .ordinals import MAX_DIGITS, check_distinct, check_index_kinds, index_from_json, index_to_json
 
 # The largest family value sum_threshold materializes as a staircase.
 MAX_THRESHOLD = 1 << 18
@@ -202,6 +202,7 @@ class HFamily:
         ):
             raise ValidationError("an hset needs an 'indices' list of ints and ordinal literals")
         indices = tuple(index_from_json(v) for v in data["indices"])
+        check_distinct(indices, "hset index")
         kind = data.get("kind", "explicit")
         if kind not in ("explicit", "from_space", "sum_threshold"):
             raise ValidationError(f"unknown family kind {kind!r}")
@@ -230,6 +231,8 @@ class HFamily:
                 cdw = CdwSet(points)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"bad staircase for entry ({i}, {j}): {exc}") from exc
+            if (indices[i], indices[j]) in entries:
+                raise ValidationError(f"entry ({i}, {j}) is listed twice")
             entries[(indices[i], indices[j])] = cdw
         return cls(indices, entries, family)
 

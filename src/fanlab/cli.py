@@ -42,6 +42,7 @@ from .families import (
 from .ordinals import (
     LadderSystem,
     Ordinal,
+    check_distinct,
     check_index_kinds,
     first_limits,
     index_to_json,
@@ -170,24 +171,25 @@ def _random_points(rng: random.Random, bound, count: int) -> list:
 
 
 def _parse_index_spec(spec, bound=None, seed: int | None = None, ordinal: bool = False) -> list:
-    """'first:N', 'random:N' (with a bound), or a comma-separated list of index literals."""
-    if isinstance(spec, list):
-        return _coerce_indices([parse_index(str(s)) for s in spec], ordinal)
-    mode, colon, count = spec.partition(":")
-    if colon and mode in ("first", "random"):
-        if bound is None:
-            raise ValidationError(f"'{mode}:N' needs an ordinal bound")
-        try:
-            n = int(count)
-        except ValueError:
-            raise ValidationError(f"bad index spec {spec!r}: N must be an integer") from None
-        _asked(n, spec)
-        if mode == "first":
-            return first_limits(bound, n)
-        return _random_points(random.Random(seed), bound, n)
-    return _coerce_indices(
-        [parse_index(part) for part in spec.split(",") if part.strip()], ordinal
-    )
+    """'first:N', 'random:N' (with a bound), or a list of distinct index literals,
+    comma-separated or as a JSON list."""
+    if not isinstance(spec, list):
+        mode, colon, count = spec.partition(":")
+        if colon and mode in ("first", "random"):
+            if bound is None:
+                raise ValidationError(f"'{mode}:N' needs an ordinal bound")
+            try:
+                n = int(count)
+            except ValueError:
+                raise ValidationError(f"bad index spec {spec!r}: N must be an integer") from None
+            _asked(n, spec)
+            if mode == "first":
+                return first_limits(bound, n)
+            return _random_points(random.Random(seed), bound, n)
+        spec = [part for part in spec.split(",") if part.strip()]
+    values = _coerce_indices([parse_index(str(s)) for s in spec], ordinal)
+    check_distinct(values, "index")
+    return values
 
 
 def _family_uses_ordinals(family: FuncFamily) -> bool:
@@ -342,6 +344,8 @@ def _load_labels(path: str, ordinal: bool) -> dict:
         ):
             raise ValidationError(f"bad label {json.dumps(entry)}: need an [index, int] pair")
         (key,) = _coerce_indices([parse_index(str(entry[0]))], ordinal)
+        if key in f:
+            raise ValidationError(f"{path} labels {key} twice")
         f[key] = entry[1]
     return f
 

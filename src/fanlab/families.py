@@ -34,6 +34,7 @@ from .ordinals import (
     ZERO,
     LadderSystem,
     Ordinal,
+    check_distinct,
     check_index_kinds,
     index_from_json,
     index_to_json,
@@ -87,6 +88,8 @@ class FuncFamily:
                 raise ValidationError(f"table key ({a}, {b}) is not increasing")
             if v < 0:
                 raise ValidationError("family values must be naturals")
+        if default < 0:
+            raise ValidationError("the family 'default' must be a natural")
         return cls("explicit", bound, table=table, indices=keys, default=default)
 
     def _check_pair(self, alpha, beta) -> None:
@@ -138,6 +141,7 @@ class FuncFamily:
             ):
                 raise ValidationError("family 'indices' must be a list of ints and ordinal literals")
             indices = tuple(index_from_json(v) for v in indices)
+            check_distinct(indices, "family index")
             rows = data.get("table", [])
             if not isinstance(rows, list):
                 raise ValidationError("family 'table' must be a list")
@@ -152,6 +156,8 @@ class FuncFamily:
                         f"range({len(indices)})"
                     )
                 i, j, v = row
+                if (indices[i], indices[j]) in table:
+                    raise ValidationError(f"table row ({i}, {j}) is listed twice")
                 table[(indices[i], indices[j])] = v
             default = data.get("default", 0)
             if type(default) is not int:
@@ -168,35 +174,26 @@ def disagreement_index(ladders: LadderSystem, alpha: Ordinal, beta: Ordinal) -> 
     raise DomainError(f"ladders of {alpha} and {beta} agree beyond the scan limit")
 
 
-def empirical_witness(family: FuncFamily, alpha, gamma, sample) -> int:
-    """Least n >= 1 with h_alpha(xi) < h_gamma(xi) + n for all xi in the sample below alpha."""
-    if not alpha < gamma:
-        raise DomainError(f"need alpha < gamma, got {alpha}, {gamma}")
-    best = 0
-    for xi in sample:
-        if xi < alpha:
-            best = max(best, family.value(xi, alpha) - family.value(xi, gamma))
-    return max(1, best + 1)
+def _sample_witness(family: FuncFamily, beta, g: Callable, sample) -> int:
+    """Least n >= 1 with h_beta(x) < g(x) + n for every x in the sample below beta."""
+    return max([0, *(family.value(x, beta) - g(x) for x in sample if x < beta)]) + 1
 
 
 def separation_labeling(family: FuncFamily, gamma, sample) -> dict:
     """Labeling f with f(a) + f(b) > h_b(a) for all a < b <= gamma in the sample.
 
-    Points below gamma get h_gamma plus their sample witness; the rest get 0.
-    The guarantee is exact on the sample: for a < b <= gamma,
+    Points below gamma get h_gamma plus their sample witness against h_gamma;
+    the rest get 0.  The guarantee is exact on the sample: for a < b <= gamma,
     f(a) + f(b) >= h_gamma(a) + witness(b) > h_b(a).
     """
     points = set(sample)
     points.add(gamma)
-    labeling = {}
-    for alpha in points:
-        if alpha < gamma:
-            labeling[alpha] = family.value(alpha, gamma) + empirical_witness(
-                family, alpha, gamma, points
-            )
-        else:
-            labeling[alpha] = 0
-    return labeling
+    h_gamma = partial(family.value, beta=gamma)
+    return {
+        alpha: h_gamma(alpha) + _sample_witness(family, alpha, h_gamma, points)
+        if alpha < gamma else 0
+        for alpha in points
+    }
 
 
 # -- certification samples ---------------------------------------------------
@@ -411,8 +408,7 @@ def _certify(family: FuncFamily, sample: frozenset, g: WeakBound, betas) -> Boun
         if family.kind == "ladder":
             witness[beta] = g.witness(beta)
         else:
-            excess = [family.value(x, beta) - g(x) for x in sample if x < beta]
-            witness[beta] = max([0, *excess]) + 1
+            witness[beta] = _sample_witness(family, beta, g, sample)
     return BoundWitness(g, witness, sample)
 
 

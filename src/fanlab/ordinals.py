@@ -8,8 +8,9 @@ exponent before coefficient, and a proper prefix is smaller, which is
 Cantor-normal-form order, recursively through the exponents.
 
 The module also provides ladder systems: for every limit ordinal a strictly
-increasing cofinal omega-sequence, either the standard rule-based one, a
-seeded variant whose sequences share common prefixes, or an explicit table.
+increasing cofinal omega-sequence.  There is one rule, the canonical
+fundamental sequence of the normal form, behind an optional seeded prefix of
+naturals that distinct limits share.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ class Ordinal(tuple):
         if n < 0:
             raise DomainError("ordinals are non-negative")
         return Ordinal(((ZERO, n),)) if n else ZERO
-
-    def successor(self) -> "Ordinal":
-        return self + 1
 
     def predecessor(self) -> "Ordinal":
         if not self.is_successor:
@@ -295,57 +293,42 @@ def _stable_rng(*parts) -> random.Random:
 class LadderSystem:
     """Assigns to every limit ordinal a strictly increasing cofinal sequence.
 
-    kind 'canonical' uses the rule-based sequences.  kind 'seeded' prepends a
-    shared, seed-determined run of naturals (so distinct ordinals agree on
-    long prefixes, giving nondegenerate disagreement indices) and continues
-    with the canonical sequence from above the prefix.  kind 'explicit' reads
-    finite tables and is meant for tests.
+    LadderSystem() is the canonical system of canonical_ladder.  A seed puts
+    in front of it a seed-determined prefix of naturals, drawn per limit from
+    one shared pool, so distinct ordinals agree on long prefixes and have
+    nondegenerate disagreement indices; above the prefix the canonical
+    sequence continues from its first entry past the prefix.  kind is
+    'seeded' or 'canonical' accordingly.
     """
 
-    def __init__(self, kind: str, seed: int | None = None, table=None):
-        if kind not in ("canonical", "seeded", "explicit"):
-            raise ValidationError(f"unknown ladder kind {kind!r}")
-        self.kind = kind
+    def __init__(self, seed: int | None = None):
         self.seed = seed
-        self.table = table
-        if kind == "seeded":
-            if seed is None:
-                raise ValidationError("seeded ladders need a seed")
+        self.kind = "canonical" if seed is None else "seeded"
+        if seed is not None:
             rng = _stable_rng(seed, "ladder-prefix-pool")
             pool = [rng.randrange(3)]
             for _ in range(_SEED_PREFIX_MAX - 1):
                 pool.append(pool[-1] + 1 + rng.randrange(4))
             self._pool = tuple(pool)
             self._prefixes: dict[Ordinal, tuple[int, int]] = {}
-        if kind == "explicit":
-            if not table:
-                raise ValidationError("explicit ladders need a table")
-            for alpha, values in table.items():
-                for i, v in enumerate(values):
-                    if v >= alpha or (i and values[i - 1] >= v):
-                        raise ValidationError(
-                            f"ladder of {alpha} must be strictly increasing below it"
-                        )
 
     @classmethod
     def canonical(cls) -> "LadderSystem":
-        return cls("canonical")
+        return cls()
 
     @classmethod
     def seeded(cls, seed: int) -> "LadderSystem":
-        return cls("seeded", seed=seed)
-
-    @classmethod
-    def explicit(cls, table) -> "LadderSystem":
-        return cls("explicit", table=dict(table))
+        return cls(seed)
 
     def _prefix(self, alpha: Ordinal) -> tuple[int, int]:
-        """(p, shift) of a seeded ladder, memoized per limit.
+        """(p, shift), memoized per limit; (0, 0) without a seed.
 
         Values 0..p-1 are the pool's first p naturals; value n >= p is
         canonical_ladder(alpha, shift + n - p), shift being the least
         canonical index whose value clears the prefix.
         """
+        if self.seed is None:
+            return 0, 0
         known = self._prefixes.get(alpha)
         if known is None:
             p = _stable_rng(self.seed, "prefix-len", alpha).randint(0, _SEED_PREFIX_MAX)
@@ -358,78 +341,48 @@ class LadderSystem:
     def value(self, alpha: Ordinal, n: int) -> Ordinal:
         if not alpha.is_limit:
             raise DomainError(f"{alpha} is not a limit ordinal")
-        if self.kind == "canonical":
-            return canonical_ladder(alpha, n)
-        if self.kind == "explicit":
-            values = self.table.get(alpha)
-            if values is None or n >= len(values):
-                raise DomainError(f"explicit ladder of {alpha} has no entry {n}")
-            return values[n]
         p, shift = self._prefix(alpha)
-        if n < p:
-            return Ordinal.from_int(self._pool[n])
-        return canonical_ladder(alpha, shift + (n - p))
+        if n >= p:
+            return canonical_ladder(alpha, shift + (n - p))
+        if n < 0:
+            raise DomainError("ladder index must be a natural number")
+        return Ordinal.from_int(self._pool[n])
 
     def first_index_at_least(self, alpha: Ordinal, target: Ordinal) -> int:
-        """Least n with ladder(alpha, n) >= target, without searching.
+        """Least n with value(alpha, n) >= target, without searching.
 
-        Canonical ladders invert the Cantor normal form (_canonical_first).  A
-        seeded ladder bisects its prefix of naturals when a natural target
-        lies within it, and otherwise shifts the canonical answer past the
-        prefix.  An explicit table is bisected.  The work does not grow with
-        the answer, so no answer is refused for its size.  DomainError when
-        target >= alpha or when an explicit table has no such entry.
+        The canonical answer inverts the Cantor normal form
+        (_canonical_first).  With a seed, a natural target that the prefix
+        reaches is bisected in the prefix, and any other target takes the
+        canonical answer shifted past the prefix.  The work does not grow with
+        the answer, so no answer is refused for its size.  DomainError exactly
+        when target >= alpha, since the ladder is cofinal in alpha.
         """
         if not alpha.is_limit:
             raise DomainError(f"{alpha} is not a limit ordinal")
-        if self.kind == "explicit":
-            values = self.table.get(alpha, ())
-            n = bisect.bisect_left(values, target)
-            if n == len(values):
-                raise DomainError(f"explicit ladder of {alpha} has no entry {n}")
-            return n
         if target >= alpha:
             raise DomainError(f"no ladder entry of {alpha} reaches {target}")
-        if self.kind == "canonical":
-            return _canonical_first(alpha, target)
         p, shift = self._prefix(alpha)
-        finite = not target or not target[0][0]
-        t = target[0][1] if target else 0
-        if finite and p and t <= self._pool[p - 1]:
-            return bisect.bisect_left(self._pool, t, 0, p)
+        if p and not (target and target[0][0]):
+            t = target[0][1] if target else 0
+            if t <= self._pool[p - 1]:
+                return bisect.bisect_left(self._pool, t, 0, p)
         return p + max(0, _canonical_first(alpha, target) - shift)
 
     def to_json(self) -> dict:
-        if self.kind == "explicit":
-            return {
-                "kind": "explicit",
-                "table": {str(a): [str(v) for v in vs] for a, vs in sorted(self.table.items())},
-            }
-        if self.kind == "seeded":
-            return {"kind": "seeded", "seed": self.seed}
-        return {"kind": "canonical"}
+        if self.seed is None:
+            return {"kind": "canonical"}
+        return {"kind": "seeded", "seed": self.seed}
 
     @classmethod
     def from_json(cls, data: dict) -> "LadderSystem":
         kind = data.get("kind")
         if kind == "canonical":
-            return cls.canonical()
+            return cls()
         if kind == "seeded":
             if type(data.get("seed")) is not int:
                 raise ValidationError("seeded ladders need an integer 'seed'")
-            return cls.seeded(data["seed"])
-        if kind == "explicit":
-            table = data.get("table")
-            if not isinstance(table, dict) or not all(
-                isinstance(vs, list) and all(isinstance(v, str) for v in vs)
-                for vs in table.values()
-            ):
-                raise ValidationError("explicit ladders need a 'table' of ordinal literal lists")
-            table = {
-                parse_ordinal(a): tuple(parse_ordinal(v) for v in vs)
-                for a, vs in table.items()
-            }
-            return cls.explicit(table)
+            return cls(data["seed"])
         raise ValidationError(f"unknown ladder kind {kind!r}")
 
 
@@ -492,6 +445,15 @@ def check_index_kinds(values) -> None:
     """ValidationError unless the index values are all ints or all ordinals."""
     if len({isinstance(v, int) for v in values}) > 1:
         raise ValidationError("indices must be all integers or all ordinals, not a mix")
+
+
+def check_distinct(values, what: str) -> None:
+    """ValidationError when the same value is listed twice."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ValidationError(f"{what} {v} is listed twice")
+        seen.add(v)
 
 
 def index_to_json(value):

@@ -151,6 +151,30 @@ class TestEval:
         assert code == 5
         assert err.startswith("error:") and problem in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            ({"table": [[0, 1, 3]], "default": -4}, "'default' must be a natural"),
+            ({"table": [[0, 1, 3], [0, 1, 5]]}, "table row (0, 1) is listed twice"),
+            ({"indices": [0, 0, 1]}, "family index 0 is listed twice"),
+            (
+                {"kind": "walk", "bound": "w^(2)",
+                 "ladders": {"kind": "explicit", "table": {"w": ["1", "5"]}}},
+                "unknown ladder kind 'explicit'",
+            ),
+        ],
+    )
+    def test_bad_explicit_data_exits_5(self, tmp_path, capsys, data, problem):
+        family = tmp_path / "fam.json"
+        base = {"kind": "explicit", "bound": None, "indices": [0, 1, 2], "table": []}
+        family.write_text(json.dumps({**base, **data}))
+        for argv in (
+            ["gen", "--kind", "explicit", "--table", str(family)],
+            ["eval", "--family", str(family), "--indices", "0,1,2"],
+        ):
+            assert main(argv) == 5
+            assert problem in assert_one_error_line(capsys)
+
 
 class TestRandomIndices:
     def test_unreachable_count_exits_5_promptly(self, tmp_path, capsys):
@@ -186,6 +210,32 @@ class TestIndexSpecs:
         err = capsys.readouterr().err
         assert code == 5
         assert err.startswith("error:") and spec in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("listed", ["w,w*2,w", ["w", "w*2", "w"], ["w", "w*2", "w*2"]])
+    def test_repeated_indices_exit_5(self, tmp_path, capsys, walk_family, hset, listed):
+        ladder = tmp_path / "ladder.json"
+        assert main(["gen", "--kind", "ladder", "--bound", "w^(2)", "--out", str(ladder)]) == 0
+        config = tmp_path / "config.json"
+        for key, argv in (
+            ("indices", ["eval", "--family", walk_family]),
+            ("indices", ["hset", "--family", walk_family]),
+            ("subset", ["separate", "--hset", hset]),
+            ("subset", ["mincap", "--hset", hset]),
+            ("subset", ["space", "--hset", hset]),
+            ("first", ["adversary", "--hset", hset, "--second", "w*3"]),
+            ("avoid", ["bound", "--family", ladder]),
+        ):
+            config.write_text(json.dumps({key: listed}))
+            assert main([*map(str, argv), "--config", str(config)]) == 5
+            assert "is listed twice" in assert_one_error_line(capsys)
+
+    def test_repeated_integer_subset_exits_5(self, tmp_path, capsys):
+        # separate and mincap exited 1 on a repeat, from the pair (0, 0)
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"indices": [0, 1, 2], "entries": [[0, 2, [[1, 1]]]]}))
+        for command in ("separate", "mincap", "space"):
+            assert main([command, "--hset", str(table), "--subset", "0,0,1"]) == 5
+            assert "index 0 is listed twice" in assert_one_error_line(capsys)
 
 
 class TestLiteralLimits:
@@ -356,6 +406,24 @@ class TestHset:
             assert main([command, "--hset", str(big)]) == 5
             assert f"at most {MAX_DIGITS} digits" in assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            ({"indices": [0, 1, 0], "entries": []}, "hset index 0 is listed twice"),
+            ({"indices": ["w", "w"], "entries": []}, "hset index w is listed twice"),
+            (
+                {"indices": [0, 1], "entries": [[0, 1, [[1, 1]]], [0, 1, [[2, 2]]]]},
+                "entry (0, 1) is listed twice",
+            ),
+        ],
+    )
+    def test_repeats_exit_5(self, tmp_path, capsys, data, problem):
+        bad = tmp_path / "repeats.json"
+        bad.write_text(json.dumps(data))
+        for command, flag in (("hset", "--table"), ("mincap", "--hset"), ("space", "--hset")):
+            assert main([command, flag, str(bad)]) == 5
+            assert problem in assert_one_error_line(capsys)
+
     def test_mixed_int_and_ordinal_indices_exit_5(self, tmp_path, capsys):
         bad = tmp_path / "mixed.json"
         bad.write_text(json.dumps({"indices": [1, "w"], "kind": "explicit", "entries": []}))
@@ -481,6 +549,7 @@ class TestAdversary:
             ({"labels": [["w", "1"]]}, "bad label"),
             ({"labels": [[None, 1]]}, "bad label"),
             ({"labels": [["w", 1], ["w*2", 1]]}, "no label for w*3"),
+            ({"labels": [["w", 0], ["w*2", 0], ["w", 5], ["w*3", 0]]}, "labels w twice"),
         ],
     )
     def test_malformed_labels_exit_5(self, tmp_path, capsys, hset, data, problem):
@@ -775,19 +844,16 @@ def _one_field_off(bases: list, fields: dict) -> st.SearchStrategy:
     return st.tuples(st.sampled_from(bases), field).map(lambda t: {**t[0], **t[1]})
 
 
+# Well-formed ladders but for one field, or an explicit ladder table, a kind
+# that no ladder system reads.
 _LADDERS_LIKE = _one_field_off(
-    [
-        {"kind": "canonical"},
-        {"kind": "seeded", "seed": 3},
-        {"kind": "explicit", "table": {"w": ["1", "5"]}},
-    ],
-    {
-        "kind": _often(st.sampled_from(["canonical", "seeded", "explicit"])),
-        "seed": _NUMBER,
-        "table": st.dictionaries(_LITERAL, st.lists(_LITERAL | _LEAVES, max_size=4), max_size=2)
-        | _JSON,
-    },
-)
+    [{"kind": "canonical"}, {"kind": "seeded", "seed": 3}],
+    {"kind": _often(st.sampled_from(["canonical", "seeded"])), "seed": _NUMBER},
+) | st.fixed_dictionaries({
+    "kind": st.just("explicit"),
+    "table": st.dictionaries(_LITERAL, st.lists(_LITERAL | _LEAVES, max_size=4), max_size=2)
+    | _JSON,
+})
 _FAMILY_LIKE = _one_field_off(
     [
         {"kind": "walk", "bound": "w^(2)", "ladders": {"kind": "canonical"}},

@@ -20,7 +20,6 @@ from fanlab import (
     close_avoiding,
     close_below,
     disagreement_index,
-    empirical_witness,
     parse_ordinal,
     random_limit,
     random_ordinal,
@@ -41,13 +40,12 @@ w2, w3 = parse_ordinal("w*2"), parse_ordinal("w*3")
 
 
 class TestEval:
-    def test_disagreement_with_explicit_ladders(self):
-        table = {
-            OMEGA: (o(1), o(3), o(8), o(9)),
-            w2: (o(1), o(3), o(7), parse_ordinal("w+1")),
-        }
-        family = FuncFamily.ladder_disagreement(LadderSystem.explicit(table), W2)
-        assert family.value(OMEGA, w2) == 2
+    def test_disagreement_with_seeded_ladders(self):
+        ladders = LadderSystem.seeded(2)
+        assert [ladders.value(OMEGA, n) for n in range(5)] == [o(2), o(3), o(5), o(9), o(10)]
+        assert [ladders.value(w2, n) for n in range(5)] == [o(2), o(3), o(5), o(9), o(11)]
+        family = FuncFamily.ladder_disagreement(ladders, W2)
+        assert family.value(OMEGA, w2) == 4
 
     def test_non_limit_arguments_give_zero(self):
         family = FuncFamily.ladder_disagreement(LadderSystem.canonical(), W2)
@@ -77,6 +75,8 @@ class TestEval:
             FuncFamily.explicit({(1, 0): 2})
         with pytest.raises(ValidationError):
             FuncFamily.explicit({(0, 1): -1})
+        with pytest.raises(ValidationError, match="'default'"):
+            FuncFamily.explicit({(0, 1): 3}, default=-4)
 
     def test_explicit_refuses_integer_indices_below_an_ordinal_bound(self):
         with pytest.raises(ValidationError, match="integer indices"):
@@ -95,10 +95,13 @@ class TestEval:
             assert again.kind == family.kind
             assert again.value(o(1), o(4)) == family.value(o(1), o(4))
 
-    def test_explicit_ladders_round_trip(self):
-        ladders = LadderSystem.explicit({OMEGA: (o(1), o(3), o(8), o(9))})
+    def test_seeded_ladders_round_trip(self):
+        ladders = LadderSystem.seeded(2)
         again = FuncFamily.from_json(FuncFamily.ladder_disagreement(ladders, W2).to_json())
-        assert again.ladders.table == ladders.table
+        assert (again.ladders.kind, again.ladders.seed) == ("seeded", 2)
+        assert [again.ladders.value(w2, n) for n in range(9)] == [
+            ladders.value(w2, n) for n in range(9)
+        ]
 
     @pytest.mark.parametrize(
         "data, problem",
@@ -108,9 +111,10 @@ class TestEval:
             ({"kind": "ladder", "bound": "w^(2)", "ladders": "canonical"}, "'ladders' object"),
             ({"kind": "walk", "bound": 5, "ladders": {"kind": "canonical"}}, "'bound'"),
             ({"kind": "walk", "bound": "w^(2)", "ladders": {"kind": "seeded"}}, "'seed'"),
-            ({"kind": "walk", "bound": "w", "ladders": {"kind": "explicit", "table": 5}}, "'table'"),
+            ({"kind": "walk", "bound": "w", "ladders": {"kind": "explicit", "table": 5}},
+             "unknown ladder kind 'explicit'"),
             ({"kind": "walk", "bound": "w", "ladders": {"kind": "explicit", "table": {"w": [1]}}},
-             "'table'"),
+             "unknown ladder kind 'explicit'"),
             ({"kind": "explicit", "indices": 3}, "'indices'"),
             ({"kind": "explicit", "indices": [0, None]}, "'indices'"),
             ({"kind": "explicit", "indices": [0, 1], "table": {"0": 1}}, "'table'"),
@@ -119,6 +123,7 @@ class TestEval:
             ({"kind": "explicit", "indices": [0, 1], "table": [[0, 1, "2"]]}, "bad table row"),
             ({"kind": "explicit", "indices": [0, 1], "default": "0"}, "'default'"),
             ({"kind": "explicit", "indices": [0, "w"], "table": [[0, 1, 2]]}, "not a mix"),
+            ({"kind": "explicit", "indices": ["w", "w"]}, "index w is listed twice"),
         ],
     )
     def test_from_json_rejects_malformed_structure(self, data, problem):
@@ -127,26 +132,23 @@ class TestEval:
 
 
 class TestEmpiricalWitness:
+    """The sample witness of a point below gamma: its label less h_gamma."""
+
     def test_empty_sample_gives_one(self):
         family = FuncFamily.explicit({}, indices=[o(1), o(7)])
-        assert empirical_witness(family, o(1), o(7), set()) == 1
+        assert separation_labeling(family, o(7), {o(1)})[o(1)] == 1
 
     def test_equal_functions_give_one(self):
         family = FuncFamily.explicit(
             {(o(0), o(3)): 4, (o(0), o(7)): 4}, indices=[o(0), o(3), o(7)]
         )
-        assert empirical_witness(family, o(3), o(7), {o(0)}) == 1
+        assert separation_labeling(family, o(7), {o(0), o(3)})[o(3)] == 1
 
     def test_deficiency_plus_one(self):
         family = FuncFamily.explicit(
             {(o(0), o(3)): 5, (o(0), o(7)): 2}, indices=[o(0), o(3), o(7)]
         )
-        assert empirical_witness(family, o(3), o(7), {o(0)}) == 4
-
-    def test_requires_increasing_pair(self):
-        family = FuncFamily.explicit({})
-        with pytest.raises(DomainError):
-            empirical_witness(family, o(3), o(3), set())
+        assert separation_labeling(family, o(7), {o(0), o(3)})[o(3)] == 4
 
 
 class TestSeparationLabeling:
@@ -495,9 +497,10 @@ class TestDisagreement:
             assert disagreement_index(ladders, a, b) == disagreement_index(ladders, b, a)
 
     def test_shared_prefix_forces_large_values(self):
-        table = {
-            OMEGA: (o(1), o(2), o(5), o(9)),
-            w2: (o(1), o(2), o(5), OMEGA),
-        }
-        ladders = LadderSystem.explicit(table)
-        assert disagreement_index(ladders, OMEGA, w2) == 3
+        # Seed 1 gives w a prefix of 4 naturals from the pool and w*2 one of 5;
+        # w's canonical part then starts at 7, the pool's fifth natural.
+        ladders = LadderSystem.seeded(1)
+        assert [ladders.value(OMEGA, n) for n in range(6)] == [o(v) for v in (2, 4, 5, 6, 7, 8)]
+        assert [ladders.value(w2, n) for n in range(5)] == [o(v) for v in (2, 4, 5, 6, 7)]
+        assert ladders.value(w2, 5) == OMEGA
+        assert disagreement_index(ladders, OMEGA, w2) == 5

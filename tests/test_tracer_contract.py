@@ -7,6 +7,8 @@ deletion in `src/fanlab/` that would break `fanbench/run.py --trace 1` fails her
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from fanlab import cli, families, ordinals
 
 TRACING = Path(__file__).resolve().parents[1] / "fanbench" / "tracing.py"
@@ -76,3 +78,24 @@ def test_traced_bounds_close_their_sample_once(tmp_path, capsys):
     assert counts["families.bound_eval.calls"] > 0
     recorded = {tracer.names[i] for i in tracer.name_id}
     assert {"families.close", "families.weak_bound"} <= recorded
+
+
+@pytest.mark.parametrize("ladders", [["--ladders", "seeded", "--seed", "7"], []])
+def test_traced_eval_splits_seeded_ladder_spans_from_canonical_ones(tmp_path, capsys, ladders):
+    # The tracer tells a seeded system by its kind; canonical_ladder is the
+    # canonical span on both.
+    family = tmp_path / "walk.json"
+    gen = ["gen", "--kind", "walk", "--bound", "w^(3)", *ladders, "--out", str(family)]
+    assert cli.main(gen) == 0
+    tracer = _tracer()
+    tracer.install()
+    try:
+        assert cli.main(["eval", "--family", str(family), "--indices", "5,w*2,w^(2)+w+1"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    recorded = {tracer.names[i] for i in tracer.name_id}
+    seeded = bool(ladders)
+    assert "ordinals.ladder_value.canonical" in recorded
+    assert ("ordinals.ladder_value.seeded" in recorded) is seeded
+    assert (tracer.counts["ordinals.ladder_value.seeded.calls"] > 0) is seeded
